@@ -3,8 +3,8 @@
 // Not a paper artifact: this quantifies the library's own engineering
 // decisions on a common workload so DESIGN.md's choices are checkable:
 //   1. fault-simulation engine: serial reference vs deductive vs
-//      parallel-pattern single-fault (PPSFP, static-cone and event-driven
-//      kernels, single- and multi-threaded);
+//      parallel-pattern single-fault (PPSFP, event-driven propagation,
+//      single- and multi-threaded);
 //   2. fault collapsing: universe vs collapsed list;
 //   3. ATPG phases: random-only vs PODEM-only vs the hybrid;
 //   4. compaction: raw vs merged+reverse-order-dropped test sets.
@@ -60,22 +60,12 @@ int main(int argc, char** argv) {
     const auto rd = bench::timed("engine.deductive", &t_ded, [&] {
       return ded.run(pats, col.representatives, false);
     });
-    ParallelFaultSimulator par(nl);
-    double t_par = 0;
-    const auto rp = bench::timed("engine.ppsfp", &t_par, [&] {
-      return par.run(pats, col.representatives, false);
-    });
-    ParallelFaultSimulator evt(nl, FaultSimKernel::Event);
+    ParallelFaultSimulator evt(nl);
     double t_evt = 0;
     const auto re = bench::timed("engine.event", &t_evt, [&] {
       return evt.run(pats, col.representatives, false);
     });
-    ThreadedFaultSimulator thr(nl, threads);
-    double t_thr = 0;
-    const auto rt = bench::timed("engine.ppsfp_mt", &t_thr, [&] {
-      return thr.run(pats, col.representatives, false);
-    });
-    ThreadedFaultSimulator thr_evt(nl, threads, FaultSimKernel::Event);
+    ThreadedFaultSimulator thr_evt(nl, threads);
     double t_thre = 0;
     const auto rte = bench::timed("engine.event_mt", &t_thre, [&] {
       return thr_evt.run(pats, col.representatives, false);
@@ -84,20 +74,15 @@ int main(int argc, char** argv) {
                 rs.num_detected);
     std::printf("      deductive %8.3fs  (%d detected)\n", t_ded,
                 rd.num_detected);
-    std::printf("      PPSFP     %8.3fs  (%d detected)\n", t_par,
-                rp.num_detected);
-    std::printf("      event     %8.3fs  (%d detected, %.2fx vs PPSFP)\n",
-                t_evt, re.num_detected, t_par / std::max(1e-9, t_evt));
-    std::printf("      PPSFP x%-2d %8.3fs  (%d detected, %.2fx vs 1 thread)\n",
-                thr.threads(), t_thr, rt.num_detected,
-                t_par / std::max(1e-9, t_thr));
+    std::printf("      event     %8.3fs  (%d detected)\n", t_evt,
+                re.num_detected);
     std::printf("      event x%-2d %8.3fs  (%d detected, %.2fx vs 1 thread)\n",
                 thr_evt.threads(), t_thre, rte.num_detected,
                 t_evt / std::max(1e-9, t_thre));
   }
 
   // 2. Collapsing.
-  std::printf("\n  [2] fault collapsing (PPSFP, with dropping):\n");
+  std::printf("\n  [2] fault collapsing (event PPSFP, with dropping):\n");
   {
     ParallelFaultSimulator par(nl);
     double t_uni = 0, t_col = 0;

@@ -137,6 +137,8 @@ inline bool emit_report(const BenchArgs& args, std::string tool,
                         std::map<std::string, std::string> context) {
   if (args.json_path.empty()) return true;
   context.emplace("threads", std::to_string(args.threads));
+  // The host's core count: multi-core rows mean nothing without it.
+  context.emplace("cores", std::to_string(resolve_thread_count(0)));
   // Which pattern-word lane the factory-made engines dispatched to: bench
   // numbers are not comparable across lanes, so the artifact records it.
   const simd::Lane lane = simd::resolve_lane();

@@ -8,7 +8,7 @@
 //                                          full ATPG run + test vectors;
 //                                          N >= 1 fault-sim workers
 //                                          (default 1);
-//                                          E = serial|ppsfp|deductive|event
+//                                          E = serial|deductive|event
 //                                          (default event; every engine
 //                                          gives identical results);
 //                                          M caps wall time -- an expired
@@ -128,7 +128,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: dft_tool {stats|scoap|faults|atpg|scan} <file.bench> "
                "[arg]\n       dft_tool atpg <file.bench> [--threads N] "
-               "[--engine serial|ppsfp|deductive|event]\n"
+               "[--engine serial|deductive|event]\n"
                "                     [--time-budget-ms M] [--retry-aborted]\n"
                "       dft_tool bist <file.bench> [--patterns N] "
                "[--threads N] [--engine E]\n"
@@ -143,8 +143,7 @@ int usage() {
                "                      [--cache-size N] "
                "[--default-deadline-ms M]\n"
                "       dft_tool export <name> <out.bench>\n"
-               "valid --engine values: event (default), ppsfp, serial, "
-               "deductive\n"
+               "valid --engine values: event (default), serial, deductive\n"
                "DFT_SIMD=auto|off|scalar4|scalar8|avx2|avx512 selects the "
                "PPSFP pattern-word lane\n"
                "observability (any command): [--stats] "

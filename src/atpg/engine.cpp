@@ -445,6 +445,11 @@ AtpgRun run_atpg_impl(const Netlist& nl, const std::vector<Fault>& faults,
         .add(static_cast<std::uint64_t>(run.retry_rescued));
     reg.value("atpg.elapsed_ms").set(static_cast<double>(run.elapsed_ms));
     reg.gauge("atpg.status_code").set(static_cast<std::int64_t>(run.status));
+    // ATPG owns the run's final coverage: on an interrupted run the last
+    // engine to record it was a cross-drop sub-simulation over a handful
+    // of faults, so the report would otherwise carry that sub-run's ratio.
+    reg.value("fault_sim.coverage.final_pct")
+        .set(100.0 * run.fault_coverage());
   }
   return run;
 }

@@ -40,7 +40,7 @@ struct AtpgOptions {
   // Fault-simulation workers for grading/dropping (1 = single-threaded,
   // 0 = hardware concurrency). The result is identical at any value.
   int threads = 1;
-  // Fault-simulation engine ("serial", "ppsfp", "deductive", "event"; "" =
+  // Fault-simulation engine ("serial", "deductive", "event"; "" =
   // the factory default, event). Every engine yields identical results;
   // this is a speed/ablation knob, echoed into the obs run report.
   std::string engine;

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "sim/comb_sim.h"
+#include "sim/parallel_sim.h"
 
 namespace dft {
 

@@ -9,18 +9,16 @@
 //  * BasicParallelFaultSimulator<EB> -- parallel-pattern single-fault
 //    propagation (PPSFP): one pattern word (64 bits classic, 256/512 on the
 //    widened SIMD lanes -- sim/eval_backend.h) per block with fault
-//    dropping, under one of two propagation kernels (FaultSimKernel): the
-//    classic static-cone resimulation ("ppsfp") or the compiled-netlist
-//    event-driven selective trace ("event"). Identical results; the event
-//    kernel only touches the difference frontier (see sim/event_sim.h).
-//    `ParallelFaultSimulator` names the classic 64-bit instantiation.
+//    dropping, propagated by the compiled-netlist event-driven selective
+//    trace, which only touches the difference frontier (see
+//    sim/event_sim.h). `ParallelFaultSimulator` names the classic 64-bit
+//    instantiation.
 //  * DeductiveFaultSimulator (deductive.h) -- Armstrong-style fault-list
 //    propagation, the independent cross-check.
 //  * BasicThreadedFaultSimulator<EB> (threaded_fault_sim.h) -- the
-//    multi-threaded engine: one PPSFP machine per worker (either kernel),
-//    pattern-block or fault-chunk decomposition with an
-//    earliest-pattern-wins merge, bit-identical results at any thread count
-//    and any word width.
+//    multi-threaded engine: one PPSFP machine per worker, pattern-block or
+//    fault-chunk decomposition with an earliest-pattern-wins merge,
+//    bit-identical results at any thread count and any word width.
 //
 // All use the combinational test model: primary inputs and storage outputs
 // are controllable (pseudo primary inputs), primary outputs and storage D
@@ -45,7 +43,6 @@
 #include "sim/comb_sim.h"
 #include "sim/eval_backend.h"
 #include "sim/event_sim.h"
-#include "sim/parallel_sim.h"
 
 namespace dft {
 
@@ -106,7 +103,8 @@ class FaultSimEngine {
                              bool drop_detected = true,
                              const guard::Budget* budget = nullptr) = 0;
 
-  // Short stable identifier ("serial", "ppsfp", "deductive", "threaded").
+  // Short stable identifier ("serial", "event", "deductive",
+  // "threaded-event").
   virtual std::string_view name() const = 0;
 
   // Patterns per simulation block: the natural batch size for callers that
@@ -143,7 +141,9 @@ class FaultSimEngine {
 // Records the fault_sim.coverage.final_pct obs value (100 * detected /
 // total; 100 for an empty fault list, matching FaultSimResult::coverage).
 // Every engine calls it at the end of run(), so the report's gauge always
-// matches the returned ratio.
+// matches the returned ratio; a driver that runs engines as sub-steps
+// (ATPG) records its own final coverage last, so the report never carries
+// a sub-run's number.
 void record_final_coverage(const FaultSimResult& res);
 
 // Records the true fault-coverage-vs-pattern curve of a finished run into
@@ -182,29 +182,18 @@ class SerialFaultSimulator : public FaultSimEngine {
   CombSim bad_;
 };
 
-// Which propagation kernel a PPSFP machine runs on.
-//  * StaticCone -- precomputed per-site fanout cone, re-evaluated per fault
-//    word (the classic path, kept selectable for A/B measurement);
-//  * Event -- compiled-netlist event wheel: only gates whose word actually
-//    changed are evaluated, the walk stops when the difference frontier
-//    dies, and only touched gates are restored.
-// Both kernels produce bit-identical FaultSimResults.
-enum class FaultSimKernel { StaticCone, Event };
-
 template <typename EB>
 class BasicParallelFaultSimulator : public FaultSimEngine {
  public:
   using Word = typename EB::Word;
   using Traits = WordTraits<Word>;
 
-  explicit BasicParallelFaultSimulator(
-      const Netlist& nl, FaultSimKernel kernel = FaultSimKernel::StaticCone);
-  // Event-kernel machine over a prebuilt compiled snapshot -- the threaded
-  // engine compiles once and shares the (immutable) form across workers.
+  explicit BasicParallelFaultSimulator(const Netlist& nl);
+  // Machine over a prebuilt compiled snapshot -- the threaded engine
+  // compiles once and shares the (immutable) form across workers.
   BasicParallelFaultSimulator(const Netlist& nl,
                               std::shared_ptr<const CompiledNetlist> compiled);
-  explicit BasicParallelFaultSimulator(
-      Netlist&&, FaultSimKernel = FaultSimKernel::StaticCone) = delete;
+  explicit BasicParallelFaultSimulator(Netlist&&) = delete;  // would dangle
   BasicParallelFaultSimulator(Netlist&&,
                               std::shared_ptr<const CompiledNetlist>) = delete;
 
@@ -214,10 +203,7 @@ class BasicParallelFaultSimulator : public FaultSimEngine {
                      bool drop_detected = true,
                      const guard::Budget* budget = nullptr) override;
 
-  std::string_view name() const override {
-    return kernel_ == FaultSimKernel::Event ? "event" : "ppsfp";
-  }
-  FaultSimKernel kernel() const { return kernel_; }
+  std::string_view name() const override { return "event"; }
   int pattern_word_bits() const override { return Traits::kBits; }
 
   // Overrides the observation points. The default is the full-scan view
@@ -243,8 +229,8 @@ class BasicParallelFaultSimulator : public FaultSimEngine {
                   std::size_t count);
 
   // Copies `other`'s loaded block -- good-machine words plus the block
-  // window -- instead of re-simulating it. Both machines must be built over
-  // the same netlist with the same kernel.
+  // window -- instead of re-simulating it. Both machines must share the
+  // same compiled snapshot.
   void adopt_block_from(const BasicParallelFaultSimulator& other);
 
   // Simulates faults[begin, end) against the loaded block. A detection at
@@ -272,43 +258,26 @@ class BasicParallelFaultSimulator : public FaultSimEngine {
   void flush_block_obs();
 
  private:
-  struct Site {
-    std::vector<GateId> cone;  // combinational cone in evaluation order
-  };
-  const Site& site_for(GateId g);
   Word detect_word(const Fault& f);
-  Word detect_word_static(const Fault& f);
-  Word detect_word_event(const Fault& f);
-  std::size_t static_cone_size(GateId g);
-  void pack_block(const std::vector<SourceVector>& patterns, std::size_t base,
+  void load_words(const std::vector<SourceVector>& patterns, std::size_t base,
                   std::size_t count);
   void flush_event_obs();
 
   const Netlist* nl_;
-  FaultSimKernel kernel_;
-  BasicParallelSim<EB> sim_;
-  std::vector<Word> good_;
   std::vector<char> observed_;
-  std::vector<Site> sites_;
-  std::vector<char> site_built_;
-  std::vector<GateId> touched_;  // static kernel: gates force_word'd per fault
-
-  // Event kernel state (null for StaticCone).
-  std::unique_ptr<BasicEventSim<EB>> event_;
+  BasicEventSim<EB> ev_;
 
   // Per-run event-kernel tallies, flushed to dft::obs once per run() --
   // nothing per fault touches shared state (this code runs on worker
   // threads under the threaded engine).
   struct EventStats {
     std::uint64_t gates_evaluated = 0;
-    std::uint64_t gates_skipped_vs_cone = 0;
     // death_depth[d] = faults whose difference frontier died d levels past
     // the origin (last bucket collects >= kDeathDepthBuckets-1).
     static constexpr int kDeathDepthBuckets = 16;
     std::array<std::uint64_t, kDeathDepthBuckets> death_depth{};
   };
   EventStats event_stats_;
-  std::vector<std::int32_t> cone_sizes_;  // lazy, obs-only: |static cone|
 
   // Block-scoped state: the window load_block/adopt_block_from installed...
   std::size_t block_base_ = 0;

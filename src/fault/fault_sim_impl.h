@@ -16,25 +16,14 @@
 namespace dft {
 
 template <typename EB>
-BasicParallelFaultSimulator<EB>::BasicParallelFaultSimulator(
-    const Netlist& nl, FaultSimKernel kernel)
+BasicParallelFaultSimulator<EB>::BasicParallelFaultSimulator(const Netlist& nl)
     : BasicParallelFaultSimulator(
-          nl, kernel == FaultSimKernel::Event
-                  ? std::make_shared<const CompiledNetlist>(nl)
-                  : std::shared_ptr<const CompiledNetlist>()) {}
+          nl, std::make_shared<const CompiledNetlist>(nl)) {}
 
 template <typename EB>
 BasicParallelFaultSimulator<EB>::BasicParallelFaultSimulator(
     const Netlist& nl, std::shared_ptr<const CompiledNetlist> compiled)
-    : nl_(&nl),
-      kernel_(compiled ? FaultSimKernel::Event : FaultSimKernel::StaticCone),
-      sim_(nl),
-      observed_(nl.size(), 0),
-      sites_(nl.size()),
-      site_built_(nl.size(), 0),
-      event_(compiled
-                 ? std::make_unique<BasicEventSim<EB>>(std::move(compiled))
-                 : nullptr) {
+    : nl_(&nl), observed_(nl.size(), 0), ev_(std::move(compiled)) {
   reset_observation_points();
 }
 
@@ -55,33 +44,8 @@ void BasicParallelFaultSimulator<EB>::reset_observation_points() {
 }
 
 template <typename EB>
-const typename BasicParallelFaultSimulator<EB>::Site&
-BasicParallelFaultSimulator<EB>::site_for(GateId g) {
-  if (!site_built_[g]) {
-    Site s;
-    auto cone = nl_->fanout_cone(g);
-    const auto& levels = nl_->levels();
-    std::erase_if(cone, [&](GateId c) {
-      return c == g || !is_combinational(nl_->type(c));
-    });
-    std::sort(cone.begin(), cone.end(),
-              [&](GateId a, GateId b) { return levels[a] < levels[b]; });
-    s.cone = std::move(cone);
-    sites_[g] = std::move(s);
-    site_built_[g] = 1;
-  }
-  return sites_[g];
-}
-
-template <typename EB>
 typename BasicParallelFaultSimulator<EB>::Word
 BasicParallelFaultSimulator<EB>::detect_word(const Fault& f) {
-  return event_ ? detect_word_event(f) : detect_word_static(f);
-}
-
-template <typename EB>
-typename BasicParallelFaultSimulator<EB>::Word
-BasicParallelFaultSimulator<EB>::detect_word_static(const Fault& f) {
   const GateType t = nl_->type(f.gate);
   const Word forced = f.sa1 ? Traits::ones() : Traits::zeros();
 
@@ -90,61 +54,16 @@ BasicParallelFaultSimulator<EB>::detect_word_static(const Fault& f) {
   if (is_storage(t) && f.pin == kStoragePinD) {
     const GateId din = nl_->fanin(f.gate)[kStoragePinD];
     if (!observed_[din]) return Traits::zeros();
-    return good_[din] ^ forced;
+    return ev_.good_word(din) ^ forced;
   }
 
   Word faulty_site;
   if (f.pin < 0) {
     faulty_site = forced;
   } else {
-    faulty_site = sim_.eval_with_forced_pin(f.gate, f.pin, forced);
+    faulty_site = ev_.eval_with_forced_pin(f.gate, f.pin, forced);
   }
-  const Word activation = faulty_site ^ good_[f.gate];
-  if (!Traits::any(activation)) return Traits::zeros();
-
-  Word detect = Traits::zeros();
-  if (observed_[f.gate]) detect = activation;
-
-  // Walk the static cone in level order, but write (and later restore) only
-  // gates whose word actually differs from the good machine: an unchanged
-  // gate already holds its good value, so skipping the store is both the
-  // cheaper and the identical-result choice. The event kernel goes further
-  // and skips the evaluation too.
-  const Site& site = site_for(f.gate);
-  touched_.clear();
-  sim_.force_word(f.gate, faulty_site);
-  for (GateId c : site.cone) {
-    const Word w = sim_.eval_word(c);
-    if (w == good_[c]) continue;
-    sim_.force_word(c, w);
-    touched_.push_back(c);
-    if (observed_[c]) detect |= w ^ good_[c];
-  }
-  sim_.force_word(f.gate, good_[f.gate]);
-  for (GateId c : touched_) sim_.force_word(c, good_[c]);
-  return detect;
-}
-
-template <typename EB>
-typename BasicParallelFaultSimulator<EB>::Word
-BasicParallelFaultSimulator<EB>::detect_word_event(const Fault& f) {
-  BasicEventSim<EB>& ev = *event_;
-  const GateType t = nl_->type(f.gate);
-  const Word forced = f.sa1 ? Traits::ones() : Traits::zeros();
-
-  if (is_storage(t) && f.pin == kStoragePinD) {
-    const GateId din = nl_->fanin(f.gate)[kStoragePinD];
-    if (!observed_[din]) return Traits::zeros();
-    return ev.good_word(din) ^ forced;
-  }
-
-  Word faulty_site;
-  if (f.pin < 0) {
-    faulty_site = forced;
-  } else {
-    faulty_site = ev.eval_with_forced_pin(f.gate, f.pin, forced);
-  }
-  const Word activation = faulty_site ^ ev.good_word(f.gate);
+  const Word activation = faulty_site ^ ev_.good_word(f.gate);
   if (!Traits::any(activation)) {
     ++event_stats_.death_depth[0];
     return Traits::zeros();
@@ -154,36 +73,17 @@ BasicParallelFaultSimulator<EB>::detect_word_event(const Fault& f) {
   if (observed_[f.gate]) detect = activation;
 
   const typename BasicEventSim<EB>::Propagation p =
-      ev.propagate(f.gate, faulty_site, observed_);
+      ev_.propagate(f.gate, faulty_site, observed_);
   event_stats_.gates_evaluated += p.gates_evaluated;
   ++event_stats_.death_depth[static_cast<std::size_t>(std::min(
       p.death_depth, EventStats::kDeathDepthBuckets - 1))];
-  if (obs::enabled()) {
-    event_stats_.gates_skipped_vs_cone +=
-        static_cone_size(f.gate) - p.gates_evaluated;
-  }
   return detect | p.detect;
 }
 
-// |static fanout cone| of g (combinational gates past the site itself) --
-// what the static kernel would have evaluated for this fault word. Computed
-// lazily per site and only consulted when observability is on.
+// Packs patterns[base, base + count) into the source words and runs the
+// good-machine pass.
 template <typename EB>
-std::size_t BasicParallelFaultSimulator<EB>::static_cone_size(GateId g) {
-  if (cone_sizes_.empty()) cone_sizes_.assign(nl_->size(), -1);
-  std::int32_t& sz = cone_sizes_[g];
-  if (sz < 0) {
-    std::int32_t n = 0;
-    for (GateId c : nl_->fanout_cone(g)) {
-      if (c != g && is_combinational(nl_->type(c))) ++n;
-    }
-    sz = n;
-  }
-  return static_cast<std::size_t>(sz);
-}
-
-template <typename EB>
-void BasicParallelFaultSimulator<EB>::pack_block(
+void BasicParallelFaultSimulator<EB>::load_words(
     const std::vector<SourceVector>& patterns, std::size_t base,
     std::size_t count) {
   const auto& pis = nl_->inputs();
@@ -194,13 +94,9 @@ void BasicParallelFaultSimulator<EB>::pack_block(
     for (std::size_t b = 0; b < count; ++b) {
       if (patterns[base + b][s] == Logic::One) Traits::set_bit(w, b);
     }
-    const GateId src = s < pis.size() ? pis[s] : ffs[s - pis.size()];
-    if (event_) {
-      event_->set_source_word(src, w);
-    } else {
-      sim_.set_word(src, w);
-    }
+    ev_.set_source_word(s < pis.size() ? pis[s] : ffs[s - pis.size()], w);
   }
+  ev_.evaluate_good();
 }
 
 template <typename EB>
@@ -234,17 +130,11 @@ FaultSimResult BasicParallelFaultSimulator<EB>::run(
 
   // Per-run event-kernel tallies (flushed to obs below, never per fault).
   event_stats_ = EventStats{};
-  if (event_) events_flushed_ = event_->events_scheduled();
+  events_flushed_ = ev_.events_scheduled();
 
   for (std::size_t base = 0; base < patterns.size(); base += kBits) {
     const std::size_t blk = std::min(kBits, patterns.size() - base);
-    pack_block(patterns, base, blk);
-    if (event_) {
-      event_->evaluate_good();
-    } else {
-      sim_.evaluate();
-      good_ = sim_.words();
-    }
+    load_words(patterns, base, blk);
     const Word valid = Traits::prefix_mask(blk);
 
     ++blocks;
@@ -282,12 +172,12 @@ FaultSimResult BasicParallelFaultSimulator<EB>::run(
     }
   }
   if (obs::enabled()) {
-    // The run-loop counters keep the fault_sim.ppsfp.* names for BOTH
-    // kernels and EVERY word width: they describe the shared block
-    // algorithm, so dashboards and the report schema checks stay comparable
-    // across kernels and lanes. Kernel-specific counters live under
-    // fault_sim.event.*; the lane itself is echoed under fault_sim.lanes.*
-    // and the sim.word_bits gauge.
+    // The run-loop counters keep the fault_sim.ppsfp.* names at EVERY word
+    // width: they describe the PPSFP block algorithm, so dashboards and the
+    // report schema checks stay comparable across lanes and with the
+    // threaded engine. Propagation counters live under fault_sim.event.*;
+    // the lane itself is echoed under fault_sim.lanes.* and the
+    // sim.word_bits gauge.
     obs::Registry& reg = obs::Registry::global();
     reg.counter("fault_sim.ppsfp.runs").add(1);
     reg.counter(std::string("fault_sim.lanes.") + std::string(EB::tag()))
@@ -299,27 +189,23 @@ FaultSimResult BasicParallelFaultSimulator<EB>::run(
     reg.counter("fault_sim.ppsfp.detections")
         .add(static_cast<std::uint64_t>(res.num_detected));
     record_final_coverage(res);
-    if (event_) {
-      reg.counter("fault_sim.event.runs").add(1);
-      flush_event_obs();
-    }
+    reg.counter("fault_sim.event.runs").add(1);
+    flush_event_obs();
   }
   return res;
 }
 
 // Flushes the accumulated event-kernel tallies (events-scheduled delta
-// since the watermark, gates evaluated/skipped, the frontier-death
-// histogram) and resets them. Callers hold obs::enabled().
+// since the watermark, gates evaluated, the frontier-death histogram) and
+// resets them. Callers hold obs::enabled().
 template <typename EB>
 void BasicParallelFaultSimulator<EB>::flush_event_obs() {
   obs::Registry& reg = obs::Registry::global();
   reg.counter("fault_sim.event.events_scheduled")
-      .add(event_->events_scheduled() - events_flushed_);
-  events_flushed_ = event_->events_scheduled();
+      .add(ev_.events_scheduled() - events_flushed_);
+  events_flushed_ = ev_.events_scheduled();
   reg.counter("fault_sim.event.gates_evaluated")
       .add(event_stats_.gates_evaluated);
-  reg.counter("fault_sim.event.gates_skipped_vs_cone")
-      .add(event_stats_.gates_skipped_vs_cone);
   // Frontier-death histogram: bucket d = fault words whose difference
   // frontier died d levels past the fault site (d=0 includes faults
   // never activated in the block). Flushed as counters so the whole
@@ -343,13 +229,7 @@ template <typename EB>
 void BasicParallelFaultSimulator<EB>::load_block(
     const std::vector<SourceVector>& patterns, std::size_t base,
     std::size_t count) {
-  pack_block(patterns, base, count);
-  if (event_) {
-    event_->evaluate_good();
-  } else {
-    sim_.evaluate();
-    good_ = sim_.words();
-  }
+  load_words(patterns, base, count);
   block_base_ = base;
   block_valid_ = Traits::prefix_mask(count);
   ++tally_blocks_;
@@ -358,13 +238,8 @@ void BasicParallelFaultSimulator<EB>::load_block(
 template <typename EB>
 void BasicParallelFaultSimulator<EB>::adopt_block_from(
     const BasicParallelFaultSimulator& other) {
-  assert(nl_ == other.nl_ && kernel_ == other.kernel_);
-  if (event_) {
-    event_->copy_good_from(*other.event_);
-  } else {
-    sim_.restore_words(other.sim_.words());
-    good_ = other.good_;
-  }
+  assert(nl_ == other.nl_);
+  ev_.copy_good_from(other.ev_);
   block_base_ = other.block_base_;
   block_valid_ = other.block_valid_;
 }
@@ -418,7 +293,7 @@ void BasicParallelFaultSimulator<EB>::flush_block_obs() {
   if (!obs::enabled()) {
     tally_blocks_ = tally_faults_ = tally_dropped_ = 0;
     event_stats_ = EventStats{};
-    if (event_) events_flushed_ = event_->events_scheduled();
+    events_flushed_ = ev_.events_scheduled();
     return;
   }
   obs::Registry& reg = obs::Registry::global();
@@ -426,7 +301,7 @@ void BasicParallelFaultSimulator<EB>::flush_block_obs() {
   reg.counter("fault_sim.ppsfp.faults_simulated").add(tally_faults_);
   reg.counter("fault_sim.ppsfp.faults_dropped").add(tally_dropped_);
   tally_blocks_ = tally_faults_ = tally_dropped_ = 0;
-  if (event_) flush_event_obs();
+  flush_event_obs();
 }
 
 }  // namespace dft

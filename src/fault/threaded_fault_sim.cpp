@@ -28,9 +28,9 @@ std::string_view to_string(MtDecomposition d) {
 template class BasicThreadedFaultSimulator<ScalarEval<std::uint64_t>>;
 
 std::unique_ptr<FaultSimEngine> make_fault_sim_engine(const Netlist& nl,
-                                                      int threads,
-                                                      FaultSimKernel kernel) {
-  return make_fault_sim_engine(nl, threads, kernel, simd::resolve_lane());
+                                                      int threads) {
+  return make_fault_sim_engine(nl, threads, FaultSimKernel::Event,
+                               simd::resolve_lane());
 }
 
 std::unique_ptr<FaultSimEngine> make_fault_sim_engine(const Netlist& nl,
@@ -51,22 +51,18 @@ std::unique_ptr<FaultSimEngine> make_fault_sim_engine(const Netlist& nl,
   if (engine.empty() || engine == "event") {
     return make_fault_sim_engine(nl, threads, FaultSimKernel::Event, lane);
   }
-  if (engine == "ppsfp") {
-    return make_fault_sim_engine(nl, threads, FaultSimKernel::StaticCone,
-                                 lane);
-  }
   if (engine == "serial" || engine == "deductive") {
     if (threads != 1) {
       throw std::invalid_argument("engine '" + std::string(engine) +
                                   "' is single-machine; --threads requires "
-                                  "ppsfp or event");
+                                  "event");
     }
     if (engine == "serial") return std::make_unique<SerialFaultSimulator>(nl);
     return std::make_unique<DeductiveFaultSimulator>(nl);
   }
   throw std::invalid_argument(
       "unknown fault-sim engine '" + std::string(engine) +
-      "'; valid engines: event (default), ppsfp, serial, deductive");
+      "'; valid engines: event (default), serial, deductive");
 }
 
 }  // namespace dft

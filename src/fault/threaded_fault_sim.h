@@ -5,7 +5,7 @@
 // coverage measurement. The parallel unit here is the pattern-word block
 // (64 patterns classic, 256/512 on the widened SIMD lanes), not the fault
 // list: partitioning faults across workers re-executes the fault-free
-// good-machine pass -- the dominant cost the event kernel's selective trace
+// good-machine pass -- the dominant cost the selective-trace propagation
 // exists to amortize -- once per worker. Instead each worker machine loads
 // a whole pattern block (one good pass) and simulates EVERY fault against
 // it, and workers steal blocks from a shared counter so the last block
@@ -56,15 +56,11 @@ class BasicThreadedFaultSimulator : public FaultSimEngine {
   using Word = typename EB::Word;
   using Traits = WordTraits<Word>;
 
-  // threads == 0 means one worker per hardware thread. With the Event
-  // kernel the netlist is compiled once and the (immutable) snapshot is
-  // shared by every worker machine.
-  explicit BasicThreadedFaultSimulator(
-      const Netlist& nl, int threads = 0,
-      FaultSimKernel kernel = FaultSimKernel::StaticCone);
-  explicit BasicThreadedFaultSimulator(
-      Netlist&&, int = 0, FaultSimKernel = FaultSimKernel::StaticCone) =
-      delete;  // dangle
+  // threads == 0 means one worker per hardware thread. The netlist is
+  // compiled once and the (immutable) snapshot is shared by every worker
+  // machine.
+  explicit BasicThreadedFaultSimulator(const Netlist& nl, int threads = 0);
+  explicit BasicThreadedFaultSimulator(Netlist&&, int = 0) = delete;  // dangle
 
   // Budgets are polled cooperatively: between stolen blocks in
   // pattern-block mode, between sequential blocks in fault-chunk mode. The
@@ -79,10 +75,7 @@ class BasicThreadedFaultSimulator : public FaultSimEngine {
                      bool drop_detected = true,
                      const guard::Budget* budget = nullptr) override;
 
-  std::string_view name() const override {
-    return kernel_ == FaultSimKernel::Event ? "threaded-event" : "threaded";
-  }
-  FaultSimKernel kernel() const { return kernel_; }
+  std::string_view name() const override { return "threaded-event"; }
   int pattern_word_bits() const override { return Traits::kBits; }
 
   int threads() const { return pool_.size(); }
@@ -126,7 +119,6 @@ class BasicThreadedFaultSimulator : public FaultSimEngine {
                        std::atomic<std::uint64_t>& detected);
 
   const Netlist* nl_;
-  FaultSimKernel kernel_;
   ThreadPool pool_;
   std::vector<std::unique_ptr<BasicParallelFaultSimulator<EB>>> machines_;
   MtDecomposition mode_ = MtDecomposition::Auto;
@@ -145,16 +137,19 @@ extern template class BasicThreadedFaultSimulator<ScalarEval<std::uint64_t>>;
 // machine (no pool, no synchronization), anything larger the threaded
 // engine. Results are identical either way. threads < 1 throws
 // std::invalid_argument -- callers resolve "one per core" themselves via
-// resolve_thread_count(0) rather than passing 0 through. The kernel
-// defaults to Event -- the compiled selective-trace path -- which is
-// bit-identical to StaticCone; pass FaultSimKernel::StaticCone for A/B.
-// The engine's pattern-word lane comes from simd::resolve_lane() (the
-// DFT_SIMD policy); the four-argument overload pins it explicitly.
-std::unique_ptr<FaultSimEngine> make_fault_sim_engine(
-    const Netlist& nl, int threads = 1,
-    FaultSimKernel kernel = FaultSimKernel::Event);
-std::unique_ptr<FaultSimEngine> make_fault_sim_engine(
-    Netlist&&, int = 1, FaultSimKernel = FaultSimKernel::Event) = delete;
+// resolve_thread_count(0) rather than passing 0 through. The engine's
+// pattern-word lane comes from simd::resolve_lane() (the DFT_SIMD policy);
+// the four-argument overload pins it explicitly.
+std::unique_ptr<FaultSimEngine> make_fault_sim_engine(const Netlist& nl,
+                                                      int threads = 1);
+std::unique_ptr<FaultSimEngine> make_fault_sim_engine(Netlist&&,
+                                                      int = 1) = delete;
+
+// The propagation kernel of a PPSFP machine. Only the event-driven
+// selective trace remains; the enum survives as the lane-pinning factory
+// overload's parameter so existing callers keep compiling.
+enum class FaultSimKernel { Event };
+
 std::unique_ptr<FaultSimEngine> make_fault_sim_engine(const Netlist& nl,
                                                       int threads,
                                                       FaultSimKernel kernel,
@@ -164,11 +159,11 @@ std::unique_ptr<FaultSimEngine> make_fault_sim_engine(Netlist&&, int,
                                                       simd::Lane) = delete;
 
 // Name-based factory behind dft_tool's --engine flag and the options
-// structs: "event" (the default; also ""), "ppsfp", "serial", "deductive".
-// "ppsfp" and "event" honor threads (> 1 wraps the kernel in the threaded
-// engine) and the SIMD lane; "serial" and "deductive" are inherently
-// single-machine, 64-bit engines and throw std::invalid_argument when
-// threads != 1, like an unknown engine name or a thread count < 1 does.
+// structs: "event" (the default; also ""), "serial", "deductive". "event"
+// honors threads (> 1 wraps it in the threaded engine) and the SIMD lane;
+// "serial" and "deductive" are inherently single-machine, 64-bit engines
+// and throw std::invalid_argument when threads != 1, like an unknown engine
+// name or a thread count < 1 does.
 std::unique_ptr<FaultSimEngine> make_fault_sim_engine(
     const Netlist& nl, std::string_view engine, int threads = 1);
 std::unique_ptr<FaultSimEngine> make_fault_sim_engine(Netlist&&,

@@ -29,23 +29,15 @@ inline constexpr std::int32_t kMtUndetected =
 
 template <typename EB>
 BasicThreadedFaultSimulator<EB>::BasicThreadedFaultSimulator(
-    const Netlist& nl, int threads, FaultSimKernel kernel)
-    : nl_(&nl), kernel_(kernel), pool_(threads) {
-  // Warm the netlist's lazily-built caches (fanouts, topo order, levels)
-  // while still single-threaded: every worker machine reads them.
-  nl.topo_order();
-  machines_.reserve(static_cast<std::size_t>(pool_.size()));
-  // One compiled snapshot serves every event-kernel worker: it is immutable
+    const Netlist& nl, int threads)
+    : nl_(&nl), pool_(threads) {
+  // One compiled snapshot serves every worker machine: it is immutable
   // after construction, so concurrent reads need no synchronization.
-  std::shared_ptr<const CompiledNetlist> compiled;
-  if (kernel == FaultSimKernel::Event) {
-    compiled = std::make_shared<const CompiledNetlist>(nl);
-  }
+  const auto compiled = std::make_shared<const CompiledNetlist>(nl);
+  machines_.reserve(static_cast<std::size_t>(pool_.size()));
   for (int i = 0; i < pool_.size(); ++i) {
     machines_.push_back(
-        compiled
-            ? std::make_unique<BasicParallelFaultSimulator<EB>>(nl, compiled)
-            : std::make_unique<BasicParallelFaultSimulator<EB>>(nl));
+        std::make_unique<BasicParallelFaultSimulator<EB>>(nl, compiled));
   }
 }
 
@@ -140,12 +132,8 @@ void BasicThreadedFaultSimulator<EB>::run_pattern_block(
 }
 
 // Too few blocks to feed every worker: blocks run in sequence, one machine
-// evaluates the good pass, its siblings adopt the snapshot, and the fault
-// list is split into chunks across the workers. The event kernel steals
-// chunks freely; the static kernel uses a fixed worker-interleaved
-// assignment (chunk c -> worker c % workers) so each machine's lazily-built
-// site-cone cache stays ~1/workers of the total instead of every machine
-// eventually building every cone.
+// evaluates the good pass, its siblings adopt the snapshot, and the workers
+// steal chunks of the fault list.
 template <typename EB>
 void BasicThreadedFaultSimulator<EB>::run_fault_chunk(
     const std::vector<SourceVector>& patterns, const std::vector<Fault>& faults,
@@ -183,23 +171,12 @@ void BasicThreadedFaultSimulator<EB>::run_fault_chunk(
                 "fault_sim.threaded.worker." + std::to_string(w) + ".task"));
           }
           std::uint64_t simulated = 0;
-          auto run_chunk = [&](std::size_t c) {
+          for (;;) {
+            const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
+            if (c >= nchunks) break;
             simulated += m.run_block_faults(
                 faults, c * chunk, std::min(nf, (c + 1) * chunk),
                 drop_detected, shared, &detected);
-          };
-          if (kernel_ == FaultSimKernel::Event) {
-            for (;;) {
-              const std::size_t c =
-                  next.fetch_add(1, std::memory_order_relaxed);
-              if (c >= nchunks) break;
-              run_chunk(c);
-            }
-          } else {
-            for (std::size_t c = static_cast<std::size_t>(w); c < nchunks;
-                 c += static_cast<std::size_t>(workers)) {
-              run_chunk(c);
-            }
           }
           if (observed && simulated != 0) {
             obs::Registry::global()
@@ -342,7 +319,7 @@ FaultSimResult BasicThreadedFaultSimulator<EB>::run(
     obs::Registry& reg = obs::Registry::global();
     // The per-machine block/fault tallies accumulated on the workers flush
     // here, single-threaded, after the barrier; the run-level counters keep
-    // the fault_sim.ppsfp.* names both kernels share.
+    // the fault_sim.ppsfp.* names the single-machine engine uses.
     for (int w = 0; w < workers; ++w) {
       machines_[static_cast<std::size_t>(w)]->flush_block_obs();
     }

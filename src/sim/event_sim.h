@@ -1,16 +1,16 @@
 // Event-driven selective-trace bit-parallel fault propagation (the "event"
 // fault-sim kernel), templated over the pattern-word backend.
 //
-// The static-cone PPSFP path re-evaluates a fault's entire fanout cone per
-// pattern word, but the survey's observability argument (Sec. II) says
-// most fault effects die within a level or two of the fault site. This
-// kernel only ever touches the difference frontier: starting from the
-// faulty site, it schedules the fanouts of gates whose pattern word actually
-// changed on a levelized event wheel, evaluates each scheduled gate at most
-// once when its level comes up (by then every fanin is final), and stops
-// the moment no scheduled gate remains -- then restores only the gates it
-// wrote. Levels come from a CompiledNetlist, whose CSR spans also feed the
-// gather-free EB::eval_ids inner loop. The word is whatever the backend
+// Re-evaluating a fault's entire fanout cone per pattern word wastes work:
+// the survey's observability argument (Sec. II) says most fault effects die
+// within a level or two of the fault site. This kernel only ever touches
+// the difference frontier: starting from the faulty site, it schedules the
+// fanouts of gates whose pattern word actually changed on a levelized event
+// wheel, evaluates each scheduled gate at most once when its level comes up
+// (by then every fanin is final), and stops the moment no scheduled gate
+// remains -- then restores only the gates it wrote. Levels come from a
+// CompiledNetlist, whose CSR spans also feed the gather-free EB::eval_ids
+// inner loop. The word is whatever the backend
 // carries (sim/eval_backend.h): 64 patterns classic, 256/512 widened.
 //
 // One machine is one single-threaded machine (like BasicParallelSim); the

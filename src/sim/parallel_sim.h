@@ -43,10 +43,10 @@ class BasicParallelSim {
 
   // Sets one word of pattern bits on a primary input or storage output.
   // This is the public setter boundary and stays range-checked; the readers
-  // and the fault-simulator force/restore path below are not -- they run
-  // per gate per fault word, their ids come from the netlist itself, and
-  // the constructor validates the netlist's id tables once in debug builds
-  // (the per-call asserts these accessors used to carry, hoisted).
+  // and the force path below are not -- they run per gate per fault word,
+  // their ids come from the netlist itself, and the constructor validates
+  // the netlist's id tables once in debug builds (the per-call asserts
+  // these accessors used to carry, hoisted).
   void set_word(GateId source, const Word& w);
   const Word& word(GateId g) const { return words_[g]; }
 
@@ -54,8 +54,7 @@ class BasicParallelSim {
   void evaluate();
 
   // Evaluates only the given gates, which must be in topological order
-  // (e.g. a fault's fanout cone) -- the core of parallel-pattern
-  // single-fault propagation in the fault module.
+  // (e.g. a fault's fanout cone, as the Walsh and syndrome graders do).
   void evaluate_gates(std::span<const GateId> gates_in_topo_order);
 
   // Evaluates one gate with input pin `pin` forced to `forced` (a stuck
@@ -63,16 +62,9 @@ class BasicParallelSim {
   // word without storing it.
   Word eval_with_forced_pin(GateId g, int pin, const Word& forced) const;
 
-  // Evaluates one gate from the current words without storing the result
-  // (the fault simulator's selective cone walk compares before writing).
-  Word eval_word(GateId g) const;
-
-  // Direct store, used by the fault simulator to force a faulty site.
+  // Direct store, used by the cone-walking graders (Walsh, syndrome) to
+  // force a faulty site.
   void force_word(GateId g, const Word& w) { words_[g] = w; }
-
-  // Copies the complete value state (for save/restore around fault cones).
-  const std::vector<Word>& words() const { return words_; }
-  void restore_words(const std::vector<Word>& saved) { words_ = saved; }
 
  private:
   const Netlist* nl_;
@@ -123,10 +115,10 @@ void BasicParallelSim<EB>::set_word(GateId source, const Word& w) {
 template <typename EB>
 void BasicParallelSim<EB>::evaluate() {
   evaluate_gates(nl_->topo_order());
-  // Full good-machine passes only; per-fault cone resimulations are counted
-  // in bulk by the fault simulator (evaluate_gates is its inner loop).
-  // Plain members, flushed on destruction: each fault-sim worker owns its
-  // simulator, so a shared atomic here would contend across threads.
+  // Full good-machine passes only; per-fault cone resimulations through
+  // evaluate_gates are not counted. Plain members, flushed on destruction:
+  // each grader owns its simulator, so a shared atomic here would contend
+  // across threads.
   ++obs_passes_;
   obs_gate_evals_ += nl_->topo_order().size();
 }
@@ -140,13 +132,6 @@ void BasicParallelSim<EB>::evaluate_gates(std::span<const GateId> gates) {
     const auto& fin = nl_->fanin(g);
     words_[g] = EB::eval_ids(nl_->type(g), fin.data(), fin.size(), w);
   }
-}
-
-template <typename EB>
-typename BasicParallelSim<EB>::Word BasicParallelSim<EB>::eval_word(
-    GateId g) const {
-  const auto& fin = nl_->fanin(g);
-  return EB::eval_ids(nl_->type(g), fin.data(), fin.size(), words_.data());
 }
 
 template <typename EB>

@@ -27,14 +27,13 @@ namespace dft {
 namespace {
 
 // Engine/thread configurations the factory accepts (serial and deductive
-// are single-machine; only ppsfp/event can be partitioned across workers).
+// are single-machine; only event can be partitioned across workers).
 struct EngineConfig {
   const char* engine;
   int threads;
 };
 constexpr EngineConfig kEngineConfigs[] = {
-    {"serial", 1}, {"deductive", 1}, {"ppsfp", 1},
-    {"ppsfp", 4},  {"event", 1},     {"event", 4},
+    {"serial", 1}, {"deductive", 1}, {"event", 1}, {"event", 4},
 };
 
 std::shared_ptr<guard::CancelToken> cancelled_token() {

@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include "atpg/engine.h"
 #include "circuits/basic.h"
+#include "circuits/random_circuit.h"
 #include "fault/fault.h"
 #include "fault/fault_sim.h"
 #include "fault/threaded_fault_sim.h"
@@ -327,7 +329,7 @@ TEST(FinalCoverage, GaugeMatchesResultAcrossEngines) {
   for (int i = 0; i < 16; ++i) {
     patterns.push_back(random_source_vector(nl, rng));
   }
-  for (const char* name : {"serial", "ppsfp", "event", "deductive"}) {
+  for (const char* name : {"serial", "event", "deductive"}) {
     Registry::global().reset();
     const auto engine = make_fault_sim_engine(nl, name, 1);
     const FaultSimResult res = engine->run(patterns, faults);
@@ -342,6 +344,35 @@ TEST(FinalCoverage, GaugeMatchesResultAcrossEngines) {
             static_cast<double>(faults.size()))
         << name;
   }
+}
+
+// An interrupted ATPG run skips its verification sim, so the last engine
+// to record fault_sim.coverage.final_pct was a one-pattern cross-drop
+// sub-run over the faults still open at that point. ATPG records the final
+// value itself on every exit path, so the report matches the coverage the
+// AtpgRun (and dft_tool) prints. A decision ceiling interrupts
+// deterministically, with the same DeadlineExpired status a deadline gives.
+TEST(FinalCoverage, InterruptedAtpgRecordsItsOwnCoverage) {
+  if (!kCompiled) GTEST_SKIP() << "recording compiled out (DFT_OBS=OFF)";
+  RandomCircuitSpec spec;
+  spec.num_inputs = 24;
+  spec.num_outputs = 12;
+  spec.num_gates = 400;
+  spec.max_fanin = 4;
+  spec.seed = 7;
+  const Netlist nl = make_random_combinational(spec);
+  const auto faults = collapse_faults(nl).representatives;
+  AtpgOptions opt;
+  opt.random_patterns = 64;
+  opt.budget.set_decision_limit(400);
+  Registry::global().reset();
+  const AtpgRun run = run_atpg(nl, faults, opt);
+  ASSERT_EQ(run.status, guard::RunStatus::DeadlineExpired);
+  ASSERT_GT(run.deterministic_detected, 0);  // cross-drop sub-runs happened
+  const auto values = Registry::global().values();
+  ASSERT_TRUE(values.count("fault_sim.coverage.final_pct"));
+  EXPECT_DOUBLE_EQ(values.at("fault_sim.coverage.final_pct"),
+                   100.0 * run.fault_coverage());
 }
 
 // record_coverage_curve derives the cumulative curve from

@@ -230,16 +230,10 @@ TEST(ThreadedFaultSim, ForwardsObservationPoints) {
 
 TEST(ThreadedFaultSim, FactorySelectsEngineByThreadCount) {
   const Netlist nl = make_c17();
-  // The hot-caller factory defaults to the event kernel since PR 4; the
-  // static-cone kernel stays selectable for A/B.
   const auto one = make_fault_sim_engine(nl, 1);
   const auto four = make_fault_sim_engine(nl, 4);
   EXPECT_EQ(one->name(), "event");
   EXPECT_EQ(four->name(), "threaded-event");
-  EXPECT_EQ(make_fault_sim_engine(nl, 1, FaultSimKernel::StaticCone)->name(),
-            "ppsfp");
-  EXPECT_EQ(make_fault_sim_engine(nl, 4, FaultSimKernel::StaticCone)->name(),
-            "threaded");
   const auto faults = collapse_faults(nl).representatives;
   std::mt19937_64 rng(1);
   std::vector<SourceVector> pats;
@@ -304,26 +298,22 @@ void check_forced_decompositions_for_backend(const char* tag) {
   for (int i = 0; i < 512 + 512 + 77; ++i) {
     pats.push_back(random_source_vector(nl, rng));
   }
-  ParallelFaultSimulator ref_engine(nl);
+  DeductiveFaultSimulator ref_engine(nl);
   const auto ref = ref_engine.run(pats, faults);
 
-  for (FaultSimKernel k :
-       {FaultSimKernel::Event, FaultSimKernel::StaticCone}) {
-    BasicThreadedFaultSimulator<EB> tsim(nl, 4, k);
-    for (MtDecomposition mode :
-         {MtDecomposition::Sequential, MtDecomposition::PatternBlock,
-          MtDecomposition::FaultChunk}) {
-      SCOPED_TRACE(std::string(to_string(mode)) + ", kernel " +
-                   (k == FaultSimKernel::Event ? "event" : "static"));
-      tsim.set_decomposition(mode);
-      const auto r = tsim.run(pats, faults);
-      ASSERT_EQ(tsim.last_decomposition(), mode);
-      ASSERT_EQ(ref.num_detected, r.num_detected);
-      ASSERT_EQ(ref.first_detected_by, r.first_detected_by);
-      ASSERT_EQ(ref.first_detected_by,
-                tsim.run(pats, faults, /*drop_detected=*/false)
-                    .first_detected_by);
-    }
+  BasicThreadedFaultSimulator<EB> tsim(nl, 4);
+  for (MtDecomposition mode :
+       {MtDecomposition::Sequential, MtDecomposition::PatternBlock,
+        MtDecomposition::FaultChunk}) {
+    SCOPED_TRACE(std::string(to_string(mode)));
+    tsim.set_decomposition(mode);
+    const auto r = tsim.run(pats, faults);
+    ASSERT_EQ(tsim.last_decomposition(), mode);
+    ASSERT_EQ(ref.num_detected, r.num_detected);
+    ASSERT_EQ(ref.first_detected_by, r.first_detected_by);
+    ASSERT_EQ(ref.first_detected_by,
+              tsim.run(pats, faults, /*drop_detected=*/false)
+                  .first_detected_by);
   }
 }
 
