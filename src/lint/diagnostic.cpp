@@ -1,39 +1,10 @@
 #include "lint/diagnostic.h"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "obs/json.h"
 
 namespace dft {
-
-namespace {
-
-void json_escape(const std::string& s, std::string& out) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void json_string(const std::string& s, std::string& out) {
-  out += '"';
-  json_escape(s, out);
-  out += '"';
-}
-
-}  // namespace
 
 std::string_view severity_name(Severity s) {
   switch (s) {
@@ -83,41 +54,40 @@ std::string render_text(const Netlist& nl, const LintReport& report) {
 }
 
 std::string render_json(const Netlist& nl, const LintReport& report) {
-  std::string out = "{\"version\":" + std::to_string(kLintJsonVersion) +
-                    ",\"netlist\":";
-  json_string(report.netlist, out);
-  out += ",\"gates\":" + std::to_string(report.gate_count);
-  out += ",\"summary\":{\"errors\":" + std::to_string(report.errors()) +
-         ",\"warnings\":" + std::to_string(report.warnings()) +
-         ",\"infos\":" + std::to_string(report.count(Severity::Info)) +
-         ",\"passed\":" + (report.passed() ? "true" : "false") + "}";
-  out += ",\"diagnostics\":[";
-  for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
-    const Diagnostic& d = report.diagnostics[i];
-    if (i) out += ',';
-    out += "{\"rule\":";
-    json_string(d.rule, out);
-    out += ",\"severity\":\"";
-    out += severity_name(d.severity);
-    out += "\",\"category\":";
-    json_string(d.category, out);
-    out += ",\"paper\":";
-    json_string(d.paper, out);
-    out += ",\"message\":";
-    json_string(d.message, out);
-    out += ",\"fix\":";
-    json_string(d.fix, out);
-    out += ",\"gates\":[";
-    for (std::size_t k = 0; k < d.gates.size(); ++k) {
-      if (k) out += ',';
-      out += "{\"id\":" + std::to_string(d.gates[k]) + ",\"label\":";
-      json_string(nl.label(d.gates[k]), out);
-      out += '}';
+  obs::JsonWriter w;
+  w.begin_object()
+      .int_field("version", kLintJsonVersion)
+      .string_field("netlist", report.netlist)
+      .uint_field("gates", report.gate_count)
+      .key("summary")
+      .begin_object()
+      .int_field("errors", report.errors())
+      .int_field("warnings", report.warnings())
+      .int_field("infos", report.count(Severity::Info))
+      .bool_field("passed", report.passed())
+      .end_object()
+      .key("diagnostics")
+      .begin_array();
+  for (const Diagnostic& d : report.diagnostics) {
+    w.begin_object()
+        .string_field("rule", d.rule)
+        .string_field("severity", severity_name(d.severity))
+        .string_field("category", d.category)
+        .string_field("paper", d.paper)
+        .string_field("message", d.message)
+        .string_field("fix", d.fix)
+        .key("gates")
+        .begin_array();
+    for (GateId g : d.gates) {
+      w.begin_object()
+          .int_field("id", g)
+          .string_field("label", nl.label(g))
+          .end_object();
     }
-    out += "]}";
+    w.end_array().end_object();
   }
-  out += "]}";
-  return out;
+  w.end_array().end_object();
+  return w.take();
 }
 
 }  // namespace dft

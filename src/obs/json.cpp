@@ -1,7 +1,9 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
@@ -244,9 +246,9 @@ class Parser {
       if (pos_ >= text_.size()) fail("unterminated escape");
       const char e = text_[pos_++];
       switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
+        case '"':
+        case '\\':
+        case '/': out += e; break;
         case 'b': out += '\b'; break;
         case 'f': out += '\f'; break;
         case 'n': out += '\n'; break;
@@ -328,6 +330,117 @@ class Parser {
 
 Json parse_json(std::string_view text) {
   return Parser(text).parse_document();
+}
+
+void append_json_string(std::string_view s, std::string& out) {
+  out += '"';
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
+void JsonWriter::separate() {
+  if (comma_due_) out_ += ',';
+}
+
+JsonWriter& JsonWriter::begin_object() {
+  separate();
+  out_ += '{';
+  comma_due_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::end_object() {
+  out_ += '}';
+  comma_due_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::begin_array() {
+  separate();
+  out_ += '[';
+  comma_due_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::end_array() {
+  out_ += ']';
+  comma_due_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view k) {
+  separate();
+  append_json_string(k, out_);
+  out_ += ':';
+  comma_due_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::string_value(std::string_view v) {
+  separate();
+  append_json_string(v, out_);
+  comma_due_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::int_value(long long v) {
+  separate();
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  comma_due_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::uint_value(unsigned long long v) {
+  separate();
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+  comma_due_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::number_value(double v) {
+  separate();
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.12g", v);
+  out_ += buf;
+  comma_due_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::bool_value(bool v) {
+  return raw_value(v ? "true" : "false");
+}
+
+JsonWriter& JsonWriter::raw_value(std::string_view json) {
+  separate();
+  out_ += json;
+  comma_due_ = true;
+  return *this;
+}
+
+std::string JsonWriter::take() {
+  std::string text = std::move(out_);
+  out_.clear();
+  comma_due_ = false;
+  return text;
 }
 
 }  // namespace dft::obs

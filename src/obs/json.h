@@ -1,12 +1,12 @@
-// Minimal JSON document parser.
+// Minimal JSON document parser and the toolkit's one JSON writer.
 //
-// Just enough of RFC 8259 to read back what this toolkit writes -- run
-// reports, lint diagnostics, bench output, the checked-in report schema --
-// so the schema validator (report_check) and the golden tests can compare
-// documents structurally instead of by string. Numbers are stored as
-// double; values outside the exact-double integer range are not needed by
-// any consumer here. Parse errors throw std::invalid_argument with a byte
-// offset.
+// The parser reads just enough of RFC 8259 to read back what this toolkit
+// writes -- run reports, lint diagnostics, bench output, the checked-in
+// schemas -- so the schema validator (obs/schema.h) and the golden tests
+// can compare documents structurally instead of by string. Numbers are
+// stored as double; values outside the exact-double integer range are not
+// needed by any consumer here. Parse errors throw std::invalid_argument
+// with a byte offset.
 //
 // Hardened for untrusted input (dft-serve feeds it raw client bytes):
 //  * nesting depth is capped (kMaxJsonDepth) so a "[[[[..." line cannot
@@ -75,5 +75,60 @@ class Json {
 
 // Parses one JSON document; trailing non-whitespace is an error.
 Json parse_json(std::string_view text);
+
+// Appends `s` as a JSON string literal: '"', '\\', \n, \t and \r get their
+// short escapes, every other byte below 0x20 becomes \u00xx, and all other
+// bytes (0x7f, multi-byte UTF-8) pass through unchanged.
+void append_json_string(std::string_view s, std::string& out);
+
+// Compact single-line JSON writer. Every document this toolkit emits -- the
+// run report, the Chrome trace, progress lines, lint JSON and the serve
+// protocol -- is rendered through it, so escaping and number formatting
+// live in one place: integers print exactly, doubles as printf "%.12g".
+// Commas are inserted automatically; the caller keeps begin/end balanced
+// and gives every object member a key.
+class JsonWriter {
+ public:
+  JsonWriter& begin_object();
+  JsonWriter& end_object();
+  JsonWriter& begin_array();
+  JsonWriter& end_array();
+  JsonWriter& key(std::string_view k);
+
+  JsonWriter& string_value(std::string_view v);
+  JsonWriter& int_value(long long v);
+  JsonWriter& uint_value(unsigned long long v);
+  JsonWriter& number_value(double v);
+  JsonWriter& bool_value(bool v);
+  JsonWriter& raw_value(std::string_view json);  // a prebuilt JSON value
+
+  JsonWriter& string_field(std::string_view k, std::string_view v) {
+    return key(k).string_value(v);
+  }
+  JsonWriter& int_field(std::string_view k, long long v) {
+    return key(k).int_value(v);
+  }
+  JsonWriter& uint_field(std::string_view k, unsigned long long v) {
+    return key(k).uint_value(v);
+  }
+  JsonWriter& number_field(std::string_view k, double v) {
+    return key(k).number_value(v);
+  }
+  JsonWriter& bool_field(std::string_view k, bool v) {
+    return key(k).bool_value(v);
+  }
+  JsonWriter& raw_field(std::string_view k, std::string_view json) {
+    return key(k).raw_value(json);
+  }
+
+  // The text written so far; leaves the writer empty.
+  std::string take();
+
+ private:
+  void separate();  // the comma before a value or key, when one is due
+
+  std::string out_;
+  bool comma_due_ = false;
+};
 
 }  // namespace dft::obs

@@ -1,5 +1,6 @@
 #include "obs/progress.h"
 
+#include "obs/json.h"
 #include "obs/report.h"
 
 namespace dft::obs {
@@ -110,46 +111,6 @@ std::string& thread_job_mutable() {
   return job;
 }
 
-void json_string(std::string_view s, std::string& out) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void append_num(double v, std::string& out) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  out += buf;
-}
-
-void append_ll(long long v, std::string& out) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%lld", v);
-  out += buf;
-}
-
-void append_u64(std::uint64_t v, std::string& out) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
 }  // namespace
 
 void ProgressSink::set_thread_job(std::string job) {
@@ -163,38 +124,25 @@ std::string ProgressSink::render_line(const Progress& p, std::uint64_t seq,
                                       double events_per_sec,
                                       long long rss_bytes, bool final_event,
                                       std::string_view job) {
-  std::string out = "{\"schema\":\"dft-obs-progress\",\"version\":";
-  append_ll(kProgressJsonVersion, out);
-  out += ",\"seq\":";
-  append_u64(seq, out);
-  if (!job.empty()) {
-    out += ",\"job\":";
-    json_string(job, out);
-  }
-  out += ",\"phase\":";
-  json_string(p.phase, out);
-  out += ",\"status\":";
-  json_string(p.status, out);
-  out += ",\"elapsed_ms\":";
-  append_ll(elapsed_ms, out);
-  out += ",\"eta_ms\":";
-  append_ll(eta_ms, out);
-  out += ",\"coverage_pct\":";
-  append_num(p.coverage_pct, out);
-  out += ",\"patterns\":";
-  append_u64(p.patterns, out);
-  out += ",\"decisions\":";
-  append_u64(p.decisions, out);
-  out += ",\"events_per_sec\":";
-  append_num(events_per_sec, out);
-  out += ",\"peak_rss_bytes\":";
-  append_ll(rss_bytes, out);
-  out += ",\"budget_remaining_ms\":";
-  append_ll(p.budget_remaining_ms, out);
-  out += ",\"final\":";
-  out += final_event ? "true" : "false";
-  out += '}';
-  return out;
+  JsonWriter w;
+  w.begin_object()
+      .string_field("schema", "dft-obs-progress")
+      .int_field("version", kProgressJsonVersion)
+      .uint_field("seq", seq);
+  if (!job.empty()) w.string_field("job", job);
+  w.string_field("phase", p.phase)
+      .string_field("status", p.status)
+      .int_field("elapsed_ms", elapsed_ms)
+      .int_field("eta_ms", eta_ms)
+      .number_field("coverage_pct", p.coverage_pct)
+      .uint_field("patterns", p.patterns)
+      .uint_field("decisions", p.decisions)
+      .number_field("events_per_sec", events_per_sec)
+      .int_field("peak_rss_bytes", rss_bytes)
+      .int_field("budget_remaining_ms", p.budget_remaining_ms)
+      .bool_field("final", final_event)
+      .end_object();
+  return w.take();
 }
 
 }  // namespace dft::obs

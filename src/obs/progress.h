@@ -23,7 +23,7 @@
 //    matter how many threads hit their block boundaries at once.
 //  * Ordered lines. seq assignment, elapsed_ms sampling, and the write
 //    happen under one mutex, so in-file order == seq order and elapsed_ms
-//    is non-decreasing down the file (what progress_check enforces).
+//    is non-decreasing down the file (what schema_check enforces).
 //    coverage_pct is additionally clamped non-decreasing per phase under
 //    the same mutex: workers snapshot their counters before racing for the
 //    ticker, so a slightly stale snapshot can win a later tick -- the

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "obs/json.h"
+
 #ifdef __unix__
 #include <sys/resource.h>
 #elif defined(__APPLE__)
@@ -9,54 +11,6 @@
 #endif
 
 namespace dft::obs {
-
-namespace {
-
-void json_escape(const std::string& s, std::string& out) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void json_string(const std::string& s, std::string& out) {
-  out += '"';
-  json_escape(s, out);
-  out += '"';
-}
-
-void append_u64(std::uint64_t v, std::string& out) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void append_i64(std::int64_t v, std::string& out) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-  out += buf;
-}
-
-void append_double(double v, std::string& out) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  out += buf;
-}
-
-}  // namespace
 
 long long peak_rss_bytes() {
 #if defined(__unix__) || defined(__APPLE__)
@@ -73,88 +27,40 @@ long long peak_rss_bytes() {
 }
 
 std::string render_report_json(const Registry& reg, const ReportOptions& opt) {
-  std::string out = "{\"schema\":\"dft-obs-report\",\"version\":";
-  append_i64(kReportJsonVersion, out);
-  out += ",\"tool\":";
-  json_string(opt.tool, out);
-
-  out += ",\"context\":{";
-  bool first = true;
-  for (const auto& [k, v] : opt.context) {
-    if (!first) out += ',';
-    first = false;
-    json_string(k, out);
-    out += ':';
-    json_string(v, out);
-  }
-  out += "},\"counters\":{";
-  first = true;
-  for (const auto& [k, v] : reg.counters()) {
-    if (!first) out += ',';
-    first = false;
-    json_string(k, out);
-    out += ':';
-    append_u64(v, out);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [k, v] : reg.gauges()) {
-    if (!first) out += ',';
-    first = false;
-    json_string(k, out);
-    out += ':';
-    append_i64(v, out);
-  }
-  out += "},\"values\":{";
-  first = true;
-  for (const auto& [k, v] : reg.values()) {
-    if (!first) out += ',';
-    first = false;
-    json_string(k, out);
-    out += ':';
-    append_double(v, out);
-  }
-  out += "},\"timers\":{";
-  first = true;
+  JsonWriter w;
+  w.begin_object()
+      .string_field("schema", "dft-obs-report")
+      .int_field("version", kReportJsonVersion)
+      .string_field("tool", opt.tool);
+  w.key("context").begin_object();
+  for (const auto& [k, v] : opt.context) w.string_field(k, v);
+  w.end_object().key("counters").begin_object();
+  for (const auto& [k, v] : reg.counters()) w.uint_field(k, v);
+  w.end_object().key("gauges").begin_object();
+  for (const auto& [k, v] : reg.gauges()) w.int_field(k, v);
+  w.end_object().key("values").begin_object();
+  for (const auto& [k, v] : reg.values()) w.number_field(k, v);
+  w.end_object().key("timers").begin_object();
   for (const auto& [k, t] : reg.timers()) {
-    if (!first) out += ',';
-    first = false;
-    json_string(k, out);
-    out += ":{\"count\":";
-    append_u64(t.count, out);
-    out += ",\"total_us\":";
-    append_u64(t.total_us, out);
-    out += ",\"min_us\":";
-    append_u64(t.min_us, out);
-    out += ",\"max_us\":";
-    append_u64(t.max_us, out);
-    out += ",\"mean_us\":";
-    append_double(t.mean_us, out);
-    out += '}';
+    w.key(k)
+        .begin_object()
+        .uint_field("count", t.count)
+        .uint_field("total_us", t.total_us)
+        .uint_field("min_us", t.min_us)
+        .uint_field("max_us", t.max_us)
+        .number_field("mean_us", t.mean_us)
+        .end_object();
   }
-  out += "},\"curves\":{";
-  first = true;
+  w.end_object().key("curves").begin_object();
   for (const auto& [k, pts] : reg.curves()) {
-    if (!first) out += ',';
-    first = false;
-    json_string(k, out);
-    out += ":[";
-    bool first_pt = true;
+    w.key(k).begin_array();
     for (const auto& [x, y] : pts) {
-      if (!first_pt) out += ',';
-      first_pt = false;
-      out += '[';
-      append_double(x, out);
-      out += ',';
-      append_double(y, out);
-      out += ']';
+      w.begin_array().number_value(x).number_value(y).end_array();
     }
-    out += ']';
+    w.end_array();
   }
-  out += "},\"peak_rss_bytes\":";
-  append_i64(peak_rss_bytes(), out);
-  out += '}';
-  return out;
+  w.end_object().int_field("peak_rss_bytes", peak_rss_bytes()).end_object();
+  return w.take();
 }
 
 std::string render_report_text(const Registry& reg, const ReportOptions& opt) {
@@ -227,143 +133,6 @@ std::string render_report_text(const Registry& reg, const ReportOptions& opt) {
                 static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0));
   out += buf;
   return out;
-}
-
-namespace {
-
-bool type_matches(const Json& v, const std::string& type_name) {
-  if (type_name == "string") return v.is_string();
-  if (type_name == "number") return v.is_number();
-  if (type_name == "object") return v.is_object();
-  if (type_name == "array") return v.is_array();
-  if (type_name == "bool") return v.is_bool();
-  return false;
-}
-
-}  // namespace
-
-std::vector<std::string> validate_report(const Json& schema,
-                                         const Json& report) {
-  std::vector<std::string> problems;
-  if (!report.is_object()) {
-    problems.push_back("report is not a JSON object");
-    return problems;
-  }
-  const Json* required = schema.find("required");
-  if (required == nullptr || !required->is_object()) {
-    problems.push_back("schema has no 'required' object");
-    return problems;
-  }
-
-  // 1. Every required top-level key present with the right type.
-  for (const auto& [key, type_j] : required->as_object()) {
-    const Json* v = report.find(key);
-    if (v == nullptr) {
-      problems.push_back("missing required key '" + key + "'");
-      continue;
-    }
-    const std::string& want = type_j.as_string();
-    if (!type_matches(*v, want)) {
-      problems.push_back("key '" + key + "' is " +
-                         std::string(Json::kind_name(v->kind())) +
-                         ", schema requires " + want);
-    }
-  }
-
-  // 1b. Optional top-level keys: allowed to be absent, type-checked when
-  // present (the progress stream's "job", the serve response's
-  // result-vs-error alternatives).
-  const Json* optional = schema.find("optional");
-  if (optional != nullptr && optional->is_object()) {
-    for (const auto& [key, type_j] : optional->as_object()) {
-      const Json* v = report.find(key);
-      if (v == nullptr) continue;
-      const std::string& want = type_j.as_string();
-      if (!type_matches(*v, want)) {
-        problems.push_back("optional key '" + key + "' is " +
-                           std::string(Json::kind_name(v->kind())) +
-                           ", schema requires " + want);
-      }
-    }
-  }
-
-  // 2. No unlisted top-level keys (schema drift in the other direction).
-  const Json* allow_extra = schema.find("allow_extra_keys");
-  if (allow_extra == nullptr || !allow_extra->as_bool()) {
-    for (const auto& [key, v] : report.as_object()) {
-      if (required->find(key) == nullptr &&
-          (optional == nullptr || !optional->is_object() ||
-           optional->find(key) == nullptr)) {
-        problems.push_back("unexpected top-level key '" + key +
-                           "' (schema drift: bump the version and update the "
-                           "schema)");
-      }
-    }
-  }
-
-  // 3. Homogeneous sections: every entry has the section's declared type.
-  if (const Json* entry_types = schema.find("entry_types");
-      entry_types != nullptr && entry_types->is_object()) {
-    for (const auto& [section, type_j] : entry_types->as_object()) {
-      const Json* sec = report.find(section);
-      if (sec == nullptr || !sec->is_object()) continue;  // caught above
-      const std::string& want = type_j.as_string();
-      for (const auto& [k, v] : sec->as_object()) {
-        if (!type_matches(v, want)) {
-          problems.push_back("entry '" + section + "." + k + "' is " +
-                             std::string(Json::kind_name(v.kind())) +
-                             ", schema requires " + want);
-        }
-      }
-    }
-  }
-
-  // 4. Per-timer stat keys.
-  if (const Json* timer_required = schema.find("timer_required");
-      timer_required != nullptr && timer_required->is_object()) {
-    if (const Json* timers = report.find("timers");
-        timers != nullptr && timers->is_object()) {
-      for (const auto& [name, stats] : timers->as_object()) {
-        if (!stats.is_object()) continue;  // caught by entry_types
-        for (const auto& [key, type_j] : timer_required->as_object()) {
-          const Json* v = stats.find(key);
-          if (v == nullptr) {
-            problems.push_back("timer '" + name + "' missing stat '" + key +
-                               "'");
-          } else if (!type_matches(*v, type_j.as_string())) {
-            problems.push_back("timer '" + name + "' stat '" + key +
-                               "' has wrong type");
-          }
-        }
-        for (const auto& [key, v] : stats.as_object()) {
-          if (timer_required->find(key) == nullptr) {
-            problems.push_back("timer '" + name + "' has unexpected stat '" +
-                               key + "' (schema drift)");
-          }
-        }
-      }
-    }
-  }
-
-  // 5. Pinned exact values (schema name, version).
-  if (const Json* expect = schema.find("expect");
-      expect != nullptr && expect->is_object()) {
-    for (const auto& [key, want] : expect->as_object()) {
-      const Json* got = report.find(key);
-      if (got == nullptr) continue;  // missing-key problem already recorded
-      bool ok = true;
-      if (want.is_string()) {
-        ok = got->is_string() && got->as_string() == want.as_string();
-      } else if (want.is_number()) {
-        ok = got->is_number() && got->as_number() == want.as_number();
-      }
-      if (!ok) {
-        problems.push_back("key '" + key + "' does not match the pinned "
-                           "schema value");
-      }
-    }
-  }
-  return problems;
 }
 
 }  // namespace dft::obs

@@ -4,8 +4,8 @@
 // --json output, and the CI schema check all read/write the same versioned
 // document, so a PODEM run and a bench sweep are directly comparable. Like
 // the lint diagnostics format, the schema carries an explicit version
-// (kReportJsonVersion) and CI fails on drift (see report_check and
-// validate_report).
+// (kReportJsonVersion) and CI fails on drift (see schema_check and
+// obs/schema.h).
 //
 //   {"schema":"dft-obs-report","version":2,
 //    "tool":"dft_tool atpg","context":{"netlist":"sn74181",...},
@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/json.h"
 #include "obs/obs.h"
 
 namespace dft::obs {
@@ -48,17 +47,5 @@ std::string render_report_json(const Registry& reg, const ReportOptions& opt);
 
 // Human-readable table of the same data (dft_tool --stats).
 std::string render_report_text(const Registry& reg, const ReportOptions& opt);
-
-// Validates a parsed report against a parsed schema document
-// (data/obs_report_schema_v2.json). Returns human-readable problems; empty
-// means the report conforms. The schema lists required top-level keys with
-// their JSON types, required per-timer keys, and exact expected values
-// (e.g. version == 2), so adding/removing/renaming report keys fails CI
-// until the schema (and version) are updated deliberately. The same
-// meta-format validates dft-obs-progress lines against
-// data/obs_progress_schema_v2.json (progress lines have no nested
-// sections, so only 'required'/'allow_extra_keys'/'expect' apply).
-std::vector<std::string> validate_report(const Json& schema,
-                                         const Json& report);
 
 }  // namespace dft::obs

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
+
+#include "obs/json.h"
 
 #ifdef __linux__
 #include <pthread.h>
@@ -69,61 +70,36 @@ std::size_t Tracer::size() const {
   return events_.size();
 }
 
-namespace {
-
-void json_escape(const std::string& s, std::string& out) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
-
 std::string Tracer::render_chrome_json() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  char buf[96];
+  JsonWriter w;
+  w.begin_object().key("traceEvents").begin_array();
   for (const auto& [tid, name] : thread_names_) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
-    std::snprintf(buf, sizeof buf, "%d", tid);
-    out += buf;
-    out += ",\"args\":{\"name\":\"";
-    json_escape(name, out);
-    out += "\"}}";
+    w.begin_object()
+        .string_field("name", "thread_name")
+        .string_field("ph", "M")
+        .int_field("pid", 1)
+        .int_field("tid", tid)
+        .key("args")
+        .begin_object()
+        .string_field("name", name)
+        .end_object()
+        .end_object();
   }
   for (const TraceEvent& e : events_) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":\"";
-    json_escape(e.name, out);
-    out += "\",\"cat\":\"";
-    json_escape(e.category.empty() ? std::string("dft") : e.category, out);
-    std::snprintf(buf, sizeof buf,
-                  "\",\"ph\":\"X\",\"ts\":%llu,\"dur\":%llu,\"pid\":1,"
-                  "\"tid\":%d}",
-                  static_cast<unsigned long long>(e.ts_us),
-                  static_cast<unsigned long long>(e.dur_us), e.tid);
-    out += buf;
+    w.begin_object()
+        .string_field("name", e.name)
+        .string_field("cat", e.category.empty() ? std::string_view("dft")
+                                                : std::string_view(e.category))
+        .string_field("ph", "X")
+        .uint_field("ts", e.ts_us)
+        .uint_field("dur", e.dur_us)
+        .int_field("pid", 1)
+        .int_field("tid", e.tid)
+        .end_object();
   }
-  out += "]}";
-  return out;
+  w.end_array().end_object();
+  return w.take();
 }
 
 TraceSpan::TraceSpan(std::string_view name, std::string_view category)

@@ -1,7 +1,6 @@
 #include "serve/protocol.h"
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 #include "obs/json.h"
@@ -11,18 +10,6 @@ namespace dft::serve {
 namespace {
 
 using obs::Json;
-
-void append_i64(long long v, std::string& out) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%lld", v);
-  out += buf;
-}
-
-void append_double(double v, std::string& out) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  out += buf;
-}
 
 // Option extraction helpers. Every failure is a BadRequest carrying the
 // already-recovered request id, so the client can correlate the rejection.
@@ -176,83 +163,24 @@ ServeRequest parse_request(std::string_view line) {
   return req;
 }
 
-void append_json_string(std::string_view s, std::string& out) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void JsonBuilder::key(std::string_view k) {
-  if (!first_) buf_ += ',';
-  first_ = false;
-  append_json_string(k, buf_);
-  buf_ += ':';
-}
-
-JsonBuilder& JsonBuilder::string_field(std::string_view k, std::string_view v) {
-  key(k);
-  append_json_string(v, buf_);
-  return *this;
-}
-
-JsonBuilder& JsonBuilder::int_field(std::string_view k, long long v) {
-  key(k);
-  append_i64(v, buf_);
-  return *this;
-}
-
-JsonBuilder& JsonBuilder::number_field(std::string_view k, double v) {
-  key(k);
-  append_double(v, buf_);
-  return *this;
-}
-
-JsonBuilder& JsonBuilder::bool_field(std::string_view k, bool v) {
-  key(k);
-  buf_ += v ? "true" : "false";
-  return *this;
-}
-
-JsonBuilder& JsonBuilder::raw_field(std::string_view k, std::string_view json) {
-  key(k);
-  buf_ += json;
-  return *this;
-}
-
 std::string JsonBuilder::take() {
-  buf_ += '}';
-  first_ = true;
-  return std::move(buf_);
+  end_object();
+  return obs::JsonWriter::take();
 }
 
 namespace {
 
-void append_response_prefix(std::string_view id, std::string_view op,
-                            bool ok, std::string& out) {
-  out += "{\"schema\":\"dft-serve-response\",\"version\":";
-  append_i64(kServeJsonVersion, out);
-  out += ",\"id\":";
-  append_json_string(id, out);
-  out += ",\"op\":";
-  append_json_string(op, out);
-  out += ",\"ok\":";
-  out += ok ? "true" : "false";
+// Opens a response object with the keys every response carries.
+obs::JsonWriter response_head(std::string_view id, std::string_view op,
+                              bool ok) {
+  obs::JsonWriter w;
+  w.begin_object()
+      .string_field("schema", "dft-serve-response")
+      .int_field("version", kServeJsonVersion)
+      .string_field("id", id)
+      .string_field("op", op)
+      .bool_field("ok", ok);
+  return w;
 }
 
 }  // namespace
@@ -262,34 +190,26 @@ std::string render_response_ok(const ServeRequest& req,
                                std::string_view cache_state,
                                long long elapsed_ms,
                                std::string_view result_json) {
-  std::string out;
-  append_response_prefix(req.id, op_name(req.op), true, out);
-  out += ",\"status\":";
-  append_json_string(guard::to_string(status), out);
-  out += ",\"degraded\":";
-  out += status == guard::RunStatus::Completed ? "false" : "true";
-  if (!cache_state.empty()) {
-    out += ",\"cache\":";
-    append_json_string(cache_state, out);
-  }
-  out += ",\"elapsed_ms\":";
-  append_i64(elapsed_ms, out);
-  out += ",\"result\":";
-  out += result_json;
-  out += '}';
-  return out;
+  obs::JsonWriter w = response_head(req.id, op_name(req.op), true);
+  w.string_field("status", guard::to_string(status))
+      .bool_field("degraded", status != guard::RunStatus::Completed);
+  if (!cache_state.empty()) w.string_field("cache", cache_state);
+  w.int_field("elapsed_ms", elapsed_ms)
+      .raw_field("result", result_json)
+      .end_object();
+  return w.take();
 }
 
 std::string render_response_error(std::string_view id, std::string_view op,
                                   ErrorType type, std::string_view message) {
-  std::string out;
-  append_response_prefix(id, op, false, out);
-  out += ",\"error\":{\"type\":";
-  append_json_string(error_type_name(type), out);
-  out += ",\"message\":";
-  append_json_string(message, out);
-  out += "}}";
-  return out;
+  obs::JsonWriter w = response_head(id, op, false);
+  w.key("error")
+      .begin_object()
+      .string_field("type", error_type_name(type))
+      .string_field("message", message)
+      .end_object()
+      .end_object();
+  return w.take();
 }
 
 }  // namespace dft::serve

@@ -35,6 +35,7 @@
 #include <string_view>
 
 #include "guard/guard.h"
+#include "obs/json.h"
 
 namespace dft::serve {
 
@@ -91,31 +92,21 @@ class RequestError : public std::runtime_error {
 // neither-or-both of circuit/bench, out-of-range or unknown options).
 ServeRequest parse_request(std::string_view line);
 
-// Single-line JSON object builder for the result payloads. Append-only;
-// raw_field splices a prebuilt subdocument (another builder's take()).
-class JsonBuilder {
+// Older names for obs::JsonWriter and obs::append_json_string, still used
+// by the benchmark's serve workload (perfbench/serve_workload.cpp). A
+// JsonBuilder opens its object on construction and closes it in take().
+// New code uses obs::JsonWriter.
+using obs::append_json_string;
+class JsonBuilder : public obs::JsonWriter {
  public:
-  JsonBuilder() : buf_("{") {}
-  JsonBuilder& string_field(std::string_view key, std::string_view v);
-  JsonBuilder& int_field(std::string_view key, long long v);
-  JsonBuilder& number_field(std::string_view key, double v);
-  JsonBuilder& bool_field(std::string_view key, bool v);
-  JsonBuilder& raw_field(std::string_view key, std::string_view json);
+  JsonBuilder() { begin_object(); }
   std::string take();
-
- private:
-  void key(std::string_view k);
-  std::string buf_;
-  bool first_ = true;
 };
-
-// RFC 8259 string escaping (shared with the response renderers).
-void append_json_string(std::string_view s, std::string& out);
 
 // Renders the one-line ok response. `degraded` is derived from `status`:
 // anything short of Completed means the result is a valid partial or a
 // weaker complete (see guard::RunStatus). `result_json` must be a complete
-// JSON object (a JsonBuilder::take()).
+// JSON object (an obs::JsonWriter::take()).
 std::string render_response_ok(const ServeRequest& req,
                                guard::RunStatus status,
                                std::string_view cache_state,

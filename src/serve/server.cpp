@@ -212,24 +212,27 @@ std::string Server::execute(Job& job, guard::RunStatus& status_out) {
   switch (req.op) {
     case Op::Lint: {
       const LintReport rep = lint_netlist(nl);
-      JsonBuilder b;
-      b.int_field("errors", rep.errors())
+      obs::JsonWriter b;
+      b.begin_object()
+          .int_field("errors", rep.errors())
           .int_field("warnings", rep.warnings())
           .int_field("diagnostics",
                      static_cast<long long>(rep.diagnostics.size()))
-          .bool_field("passed", rep.passed());
+          .bool_field("passed", rep.passed())
+          .end_object();
       result = b.take();
       break;
     }
     case Op::Measure: {
       const ScoapResult sc = compute_scoap(nl);
       const std::vector<GateId> hardest = rank_hardest_nets(nl, sc, 1);
-      JsonBuilder b;
-      b.int_field("gates", static_cast<long long>(nl.size()));
+      obs::JsonWriter b;
+      b.begin_object().int_field("gates", static_cast<long long>(nl.size()));
       if (!hardest.empty()) {
         b.int_field("hardest_difficulty", sc.difficulty(hardest[0]));
         b.string_field("hardest_net", nl.gate_name(hardest[0]));
       }
+      b.end_object();
       result = b.take();
       break;
     }
@@ -249,11 +252,13 @@ std::string Server::execute(Job& job, guard::RunStatus& status_out) {
       const FaultSimResult r =
           engine->run(patterns, circuit->faults, true, &budget);
       status = r.status;
-      JsonBuilder b;
-      b.int_field("faults", static_cast<long long>(circuit->faults.size()))
+      obs::JsonWriter b;
+      b.begin_object()
+          .int_field("faults", static_cast<long long>(circuit->faults.size()))
           .int_field("patterns", static_cast<long long>(patterns.size()))
           .int_field("detected", r.num_detected)
-          .number_field("coverage_pct", 100 * r.coverage());
+          .number_field("coverage_pct", 100 * r.coverage())
+          .end_object();
       result = b.take();
       break;
     }
@@ -290,12 +295,14 @@ std::string Server::execute(Job& job, guard::RunStatus& status_out) {
       char sig[20];
       std::snprintf(sig, sizeof sig, "%016llx",
                     static_cast<unsigned long long>(signature));
-      JsonBuilder b;
-      b.int_field("patterns", static_cast<long long>(tests.size()))
+      obs::JsonWriter b;
+      b.begin_object()
+          .int_field("patterns", static_cast<long long>(tests.size()))
           .string_field("signature", sig)
           .int_field("faults", static_cast<long long>(circuit->faults.size()))
           .int_field("detected", r.num_detected)
-          .number_field("coverage_pct", 100 * r.coverage());
+          .number_field("coverage_pct", 100 * r.coverage())
+          .end_object();
       result = b.take();
       break;
     }
@@ -307,12 +314,14 @@ std::string Server::execute(Job& job, guard::RunStatus& status_out) {
           analyzer.untestable_faults(circuit->faults);
       const sta::StaStats& s = analyzer.stats();
       status = s.status;
-      JsonBuilder b;
-      b.int_field("gates", static_cast<long long>(nl.size()))
+      obs::JsonWriter b;
+      b.begin_object()
+          .int_field("gates", static_cast<long long>(nl.size()))
           .int_field("constants", s.constants_found)
           .int_field("unobservable", s.unobservable_gates)
           .int_field("untestable", static_cast<long long>(untestable.size()))
-          .int_field("faults", static_cast<long long>(circuit->faults.size()));
+          .int_field("faults", static_cast<long long>(circuit->faults.size()))
+          .end_object();
       result = b.take();
       break;
     }
@@ -366,8 +375,9 @@ std::string Server::execute_atpg(Job& job, const CompiledCircuit& circuit,
   }
   status_out = run.status;
 
-  JsonBuilder b;
-  b.int_field("faults", run.num_faults)
+  obs::JsonWriter b;
+  b.begin_object()
+      .int_field("faults", run.num_faults)
       .int_field("detected", run.detected)
       .number_field("coverage_pct", 100 * run.fault_coverage())
       .number_field("test_coverage_pct", 100 * run.test_coverage())
@@ -378,19 +388,16 @@ std::string Server::execute_atpg(Job& job, const CompiledCircuit& circuit,
       .int_field("statically_pruned", run.statically_pruned)
       .bool_field("resumable", guard::interrupted(run.status));
   if (req.options.include_tests) {
-    std::string arr = "[";
-    bool first = true;
+    b.key("vectors").begin_array();
     for (const SourceVector& t : run.tests) {
-      if (!first) arr += ',';
-      first = false;
       std::string s;
       s.reserve(t.size());
       for (Logic l : t) s += to_char(l);
-      append_json_string(s, arr);
+      b.string_value(s);
     }
-    arr += ']';
-    b.raw_field("vectors", arr);
+    b.end_array();
   }
+  b.end_object();
   return b.take();
 }
 

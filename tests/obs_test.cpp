@@ -1,11 +1,15 @@
-// dft::obs -- metrics registry, tracer, JSON parser, report exporters.
+// dft::obs -- metrics registry, tracer, JSON parser and writer, report
+// exporters, and the schema validator over every document the toolkit
+// emits.
 //
 // Includes the two properties the observability layer stakes its design on:
 // thread-safe recording under the worker pool (run with DFT_SANITIZE=thread)
 // and allocation-free recording when disabled at runtime.
 #include <atomic>
 #include <cstdlib>
+#include <fstream>
 #include <new>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -13,10 +17,17 @@
 
 #include <gtest/gtest.h>
 
+#include "guard/guard.h"
+#include "lint/diagnostic.h"
+#include "lint/engine.h"
+#include "netlist/netlist.h"
 #include "obs/json.h"
 #include "obs/obs.h"
+#include "obs/progress.h"
 #include "obs/report.h"
+#include "obs/schema.h"
 #include "obs/trace.h"
+#include "serve/protocol.h"
 #include "sim/thread_pool.h"
 
 namespace dft::obs {
@@ -331,23 +342,30 @@ TEST(Report, TextRendererMentionsEverySection) {
   EXPECT_NE(text.find("peak rss:"), std::string::npos);
 }
 
+Json load_schema(const std::string& file) {
+  std::ifstream in(std::string(DFT_SOURCE_DIR) + "/data/" + file);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return parse_json(text.str());
+}
+
+// Passes when some problem contains `needle`; lists them all otherwise.
+::testing::AssertionResult Reports(const std::vector<std::string>& problems,
+                                   const std::string& needle) {
+  for (const std::string& p : problems) {
+    if (p.find(needle) != std::string::npos) {
+      return ::testing::AssertionSuccess();
+    }
+  }
+  ::testing::AssertionResult r = ::testing::AssertionFailure();
+  r << "no problem mentions '" << needle << "'; got " << problems.size();
+  for (const std::string& p : problems) r << "\n  " << p;
+  return r;
+}
+
 class ReportValidation : public ::testing::Test {
  protected:
-  Json schema() {
-    return parse_json(R"({
-      "required": {"schema":"string","version":"number","tool":"string",
-                   "context":"object","counters":"object","gauges":"object",
-                   "values":"object","timers":"object","curves":"object",
-                   "peak_rss_bytes":"number"},
-      "entry_types": {"context":"string","counters":"number",
-                      "gauges":"number","values":"number","timers":"object",
-                      "curves":"array"},
-      "timer_required": {"count":"number","total_us":"number",
-                         "min_us":"number","max_us":"number",
-                         "mean_us":"number"},
-      "expect": {"schema":"dft-obs-report","version":2}
-    })");
-  }
+  Json schema() { return load_schema("obs_report_schema_v2.json"); }
 
   std::string fresh_report() {
     Registry reg;
@@ -360,7 +378,7 @@ class ReportValidation : public ::testing::Test {
 };
 
 TEST_F(ReportValidation, FreshReportConforms) {
-  const auto problems = validate_report(schema(), parse_json(fresh_report()));
+  const auto problems = validate(schema(), parse_json(fresh_report()));
   EXPECT_TRUE(problems.empty())
       << (problems.empty() ? "" : problems.front());
 }
@@ -369,19 +387,20 @@ TEST_F(ReportValidation, DetectsDriftBothDirections) {
   // A key the schema does not know about.
   std::string extra = fresh_report();
   extra.insert(1, "\"surprise\":true,");
-  EXPECT_FALSE(validate_report(schema(), parse_json(extra)).empty());
+  EXPECT_TRUE(Reports(validate(schema(), parse_json(extra)),
+                      "surprise: unexpected key"));
 
   // A required key gone missing.
   const Json no_tool = parse_json(R"({"schema":"dft-obs-report","version":1})");
-  const auto problems = validate_report(schema(), no_tool);
-  EXPECT_FALSE(problems.empty());
+  EXPECT_TRUE(Reports(validate(schema(), no_tool), "tool: missing"));
 
   // A pinned value changed (version bump without schema update).
   std::string old = fresh_report();
   const auto pos = old.find("\"version\":2");
   ASSERT_NE(pos, std::string::npos);
   old.replace(pos, 11, "\"version\":3");
-  EXPECT_FALSE(validate_report(schema(), parse_json(old)).empty());
+  EXPECT_TRUE(Reports(validate(schema(), parse_json(old)),
+                      "version: is '3', schema pins '2'"));
 }
 
 TEST_F(ReportValidation, DetectsTimerStatDrift) {
@@ -391,28 +410,218 @@ TEST_F(ReportValidation, DetectsTimerStatDrift) {
   ASSERT_NE(pos, std::string::npos);
   const auto end = r.find('}', pos);
   r.erase(pos, end - pos);
-  EXPECT_FALSE(validate_report(schema(), parse_json(r)).empty());
+  EXPECT_TRUE(Reports(validate(schema(), parse_json(r)),
+                      "timers.t.mean_us: missing"));
 }
 
 TEST(ReportValidation2, CheckedInSchemaMatchesEmitter) {
-  // The repo's schema file must accept what render_report_json emits today;
-  // obs_report_schema_check (ctest) covers the dft_tool path end to end.
+  // Every schema file in data/ accepts what its renderer emits today; the
+  // schema_check ctest cases cover the dft_tool paths end to end.
+  const auto conforms = [](const std::string& file, const std::string& text) {
+    const auto problems = validate(load_schema(file), parse_json(text));
+    if (problems.empty()) return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure() << file << ": " << problems.front();
+  };
   Registry reg;
   reg.counter("x").add(1);
+  reg.timer("t").record(5);
+  reg.curve("c").add(63, 87.5);
   ReportOptions opt;
   opt.tool = "obs_test";
-  // Reparse the inline copy of data/obs_report_schema_v2.json semantics via
-  // validate_report: keep this in sync with the file.
-  const Json schema = parse_json(R"({
-    "required": {"schema":"string","version":"number","tool":"string",
-                 "context":"object","counters":"object","gauges":"object",
-                 "values":"object","timers":"object","curves":"object",
-                 "peak_rss_bytes":"number"},
-    "expect": {"schema":"dft-obs-report","version":2}
-  })");
+  opt.context = {{"circuit", "c17"}};
   EXPECT_TRUE(
-      validate_report(schema, parse_json(render_report_json(reg, opt)))
-          .empty());
+      conforms("obs_report_schema_v2.json", render_report_json(reg, opt)));
+
+  Netlist nl("tiny");  // an unscanned flip-flop: one SCAN-001 error
+  nl.add_output(nl.add_gate(GateType::Dff, {nl.add_input("x")}, "f"), "q");
+  EXPECT_TRUE(conforms("lint_report_schema_v1.json",
+                       render_json(nl, lint_netlist(nl))));
+
+  Progress p;
+  p.phase = "random_tpg";
+  p.coverage_pct = 71.25;
+  EXPECT_TRUE(conforms("obs_progress_schema_v2.json",
+                       ProgressSink::render_line(p, 3, 120, 240, 12.5, 4096,
+                                                 true, "r1")));
+
+  serve::ServeRequest req;
+  req.id = "r1";
+  EXPECT_TRUE(conforms("serve_response_schema_v1.json",
+                       serve::render_response_ok(
+                           req, guard::RunStatus::DeadlineExpired, "hit", 12,
+                           R"({"faults":4})")));
+  EXPECT_TRUE(conforms("serve_response_schema_v1.json",
+                       serve::render_response_error(
+                           "r2", "atpg", serve::ErrorType::Overloaded, "busy")));
+  EXPECT_TRUE(conforms("serve_request_schema_v1.json",
+                       R"({"schema":"dft-serve-request","version":1,"id":"q",)"
+                       R"("op":"lint","circuit":"c17"})"));
+}
+
+TEST(SchemaRules, LintShapeAndSummaryRecount) {
+  const Json schema = load_schema("lint_report_schema_v1.json");
+  const auto report = [](const std::string& summary,
+                         const std::string& diagnostic) {
+    return parse_json(R"({"version":1,"netlist":"n","gates":3,"summary":)" +
+                      summary + R"(,"diagnostics":[)" + diagnostic + "]}");
+  };
+  const std::string one_error =
+      R"({"errors":1,"warnings":0,"infos":0,"passed":false})";
+  const auto diagnostic = [](const std::string& severity,
+                             const std::string& gate) {
+    return R"({"rule":"R","severity":")" + severity +
+           R"(","category":"c","paper":"p","message":"m","fix":"f",)"
+           R"("gates":[)" + gate + "]}";
+  };
+  const std::string gate = R"({"id":1,"label":"g"})";
+  const Json good = report(one_error, diagnostic("error", gate));
+  EXPECT_TRUE(validate(schema, good).empty());
+  EXPECT_TRUE(check_lint_report(good).empty());
+
+  EXPECT_TRUE(Reports(
+      validate(schema, report(one_error, diagnostic("error", R"({"id":1})"))),
+      "diagnostics[0].gates[0].label: missing required key"));
+  EXPECT_TRUE(
+      Reports(validate(schema, report(one_error, diagnostic("fatal", gate))),
+              "diagnostics[0].severity: 'fatal' is not one of"));
+  EXPECT_TRUE(Reports(
+      check_lint_report(report(
+          R"({"errors":1,"warnings":2,"infos":0,"passed":false})",
+          diagnostic("error", gate))),
+      "summary.warnings says 2 but the diagnostics contain 0"));
+  EXPECT_TRUE(Reports(
+      check_lint_report(report(
+          R"({"errors":1,"warnings":0,"infos":0,"passed":true})",
+          diagnostic("error", gate))),
+      "summary.passed contradicts the error count"));
+  EXPECT_TRUE(Reports(
+      check_lint_report(report(one_error, diagnostic("error", ""))),
+      "diagnostics[0]: names no gates"));
+}
+
+TEST(SchemaRules, ServeResponseShapeFollowsOk) {
+  const Json schema = load_schema("serve_response_schema_v1.json");
+  const auto problems = [&](const std::string& rest) {
+    return validate(
+        schema,
+        parse_json(
+            R"({"schema":"dft-serve-response","version":1,"id":"r","op":"x",)" +
+            rest));
+  };
+  const std::string ok_body =
+      R"("ok":true,"status":"completed","degraded":false,"elapsed_ms":1,)"
+      R"("result":{})";
+  const std::string error = R"("error":{"type":"internal","message":"m"})";
+  EXPECT_TRUE(problems(ok_body + "}").empty());
+  EXPECT_TRUE(problems(R"("ok":false,)" + error + "}").empty());
+
+  EXPECT_TRUE(Reports(problems(ok_body + "," + error + "}"),
+                      "error: unexpected key"));
+  EXPECT_TRUE(Reports(problems(R"("ok":false})"),
+                      "error: missing required key"));
+  EXPECT_TRUE(Reports(
+      problems(R"("ok":false,"error":{"type":"oops","message":"m"}})"),
+      "error.type: 'oops' is not one of"));
+}
+
+TEST(SchemaRules, ServeStreamsAnswerOnceAndNameOneCircuit) {
+  std::vector<std::string> unparsable;
+  EXPECT_TRUE(Reports(
+      check_serve_responses(parse_json_lines(
+          "{\"id\":\"a\"}\n{\"id\":\"\"}\n\n{\"id\":\"\"}\n{\"id\":\"a\"}\n",
+          unparsable)),
+      "line 5: id 'a' answered more than once"));
+  const auto requests = check_serve_requests(parse_json_lines(
+      R"({"circuit":"c17"})" "\n" R"({"circuit":"c17","bench":"x"})" "\n"
+      R"({"bench":"x"})",
+      unparsable));
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_TRUE(Reports(requests, "line 2: exactly one of circuit/bench"));
+  EXPECT_TRUE(unparsable.empty());
+
+  parse_json_lines("{\"id\":1}\nnot json\n", unparsable);
+  EXPECT_TRUE(Reports(unparsable, "line 2: not valid JSON"));
+}
+
+TEST(SchemaRules, ProgressStreamIsOrdered) {
+  const auto line = [](int seq, int elapsed_ms, int coverage, bool final) {
+    return "{\"seq\":" + std::to_string(seq) +
+           ",\"elapsed_ms\":" + std::to_string(elapsed_ms) +
+           ",\"phase\":\"p\",\"coverage_pct\":" + std::to_string(coverage) +
+           ",\"final\":" + (final ? "true" : "false") + "}\n";
+  };
+  std::vector<std::string> unparsable;
+  const auto check = [&](const std::string& text) {
+    return check_progress_stream(parse_json_lines(text, unparsable));
+  };
+  EXPECT_TRUE(check(line(0, 1, 10, false) + line(1, 1, 10, false) +
+                    line(2, 3, -1, false) + line(3, 4, 20, true))
+                  .empty());
+  EXPECT_TRUE(Reports(check(line(0, 1, 10, false) + line(0, 2, 20, false)),
+                      "line 2: seq not strictly increasing"));
+  EXPECT_TRUE(Reports(check(line(0, 5, 10, false) + line(1, 4, 20, false)),
+                      "line 2: elapsed_ms decreased"));
+  EXPECT_TRUE(Reports(check(line(0, 1, 30, false) + line(1, 2, 20, false)),
+                      "line 2: coverage_pct decreased in phase 'p'"));
+  EXPECT_TRUE(Reports(check(line(0, 1, 10, true) + line(1, 2, 20, false)),
+                      "line 2: line after the final line"));
+  EXPECT_TRUE(unparsable.empty());
+}
+
+TEST(SchemaRules, MalformedSchemaFailsLoudly) {
+  const Json doc = parse_json("{}");
+  EXPECT_THROW(
+      validate(parse_json(R"({"document":{"type":"object","requird":{}}})"),
+               doc),
+      std::invalid_argument);
+  EXPECT_THROW(validate(parse_json(R"({"document":"strnig"})"), doc),
+               std::invalid_argument);
+  EXPECT_THROW(validate(parse_json("{}"), doc), std::invalid_argument);
+}
+
+TEST(JsonWriter, HostileStringsRoundTripThroughEveryDocument) {
+  const std::string hostile =
+      "q\" s\\ b\b f\f \x01 \x1f \x7f n\n t\t r\r \xC3\xA9\xE2\x82\xAC"
+      "\xF0\x9F\x98\x80";
+
+  ReportOptions opt;
+  opt.context = {{"k", hostile}};
+  EXPECT_EQ(parse_json(render_report_json(Registry(), opt))
+                .find("context")->find("k")->as_string(),
+            hostile);
+
+  Tracer& tr = Tracer::global();
+  tr.start();
+  { TraceSpan span(hostile, "test"); }
+  tr.stop();
+  const Json trace = parse_json(tr.render_chrome_json());
+  bool traced = false;
+  for (const Json& e : trace.find("traceEvents")->as_array()) {
+    traced = traced || e.find("name")->as_string() == hostile;
+  }
+  EXPECT_TRUE(traced);
+
+  Netlist nl("n");
+  LintReport rep;
+  rep.diagnostics.push_back(
+      Diagnostic{"R", Severity::Info, "c", "p", "m", "f",
+                 {nl.add_input(hostile)}});
+  const Json lint = parse_json(render_json(nl, rep));
+  EXPECT_EQ(lint.find("diagnostics")->as_array()[0].find("gates")
+                ->as_array()[0].find("label")->as_string(),
+            hostile);
+
+  Progress p;
+  p.phase = hostile;
+  const Json line = parse_json(
+      ProgressSink::render_line(p, 0, 0, -1, 0.0, 0, false, hostile));
+  EXPECT_EQ(line.find("phase")->as_string(), hostile);
+  EXPECT_EQ(line.find("job")->as_string(), hostile);
+
+  const Json response = parse_json(serve::render_response_error(
+      hostile, "lint", serve::ErrorType::Internal, hostile));
+  EXPECT_EQ(response.find("id")->as_string(), hostile);
+  EXPECT_EQ(response.find("error")->find("message")->as_string(), hostile);
 }
 
 }  // namespace
