@@ -1,91 +1,51 @@
 // dft_tool -- a command-line driver over the library's public API.
 //
-//   dft_tool stats   <file.bench>          structural summary
-//   dft_tool scoap   <file.bench> [N]      N hardest nets (default 10)
-//   dft_tool faults  <file.bench>          fault universe / collapsing
-//   dft_tool atpg    <file.bench> [--threads N] [--engine E]
-//                    [--time-budget-ms M] [--retry-aborted]
-//                                          full ATPG run + test vectors;
-//                                          N >= 1 fault-sim workers
-//                                          (default 1);
-//                                          E = serial|deductive|event
-//                                          (default event; every engine
-//                                          gives identical results);
-//                                          M caps wall time -- an expired
-//                                          budget exits 3 with the partial
-//                                          result printed/reported;
-//                                          --retry-aborted re-attacks
-//                                          aborted faults with escalating
-//                                          limits + a D-algorithm prover
-//   dft_tool bist    <file.bench> [--patterns N] [--threads N] [--engine E]
-//                                          pseudo-random self-test: LFSR
-//                                          PRPG patterns, signature-register
-//                                          response compaction, fault-sim
-//                                          coverage grading
-//   dft_tool scan    <file.bench> [chains] LSSD insertion, writes result
-//   dft_tool lint    <file.bench> [--json] [--scan-first]
-//                                          design-rule check; exits 1 on any
-//                                          error-severity violation
-//   dft_tool sta     <file.bench> [--no-learn] [--faults]
-//                    [--time-budget-ms M]   static structural analysis:
-//                                          proven-constant lines,
-//                                          unobservable gates, and the
-//                                          statically untestable share of
-//                                          the collapsed fault universe
-//                                          (--faults lists each one); the
-//                                          sta.* counters land in the obs
-//                                          report
-//   dft_tool simd    [--names]             show the SIMD pattern-word lanes
-//                                          this host can run and which one
-//                                          DFT_SIMD resolves to; --names
-//                                          prints just the available lane
-//                                          names (for scripting)
-//   dft_tool serve   [--socket <path>] [--workers N] [--max-inflight N]
-//                    [--cache-size N] [--default-deadline-ms M]
-//                                          long-lived JSON-lines daemon:
-//                                          reads one request per line
-//                                          (data/serve_request_schema_v1
-//                                          .json) from stdin -- or from
-//                                          concurrent clients of a Unix
-//                                          socket with --socket -- and
-//                                          answers every line with one
-//                                          response line (data/serve_
-//                                          response_schema_v1.json): jobs
-//                                          run concurrently on N workers,
-//                                          compiled circuits are cached,
-//                                          overload is shed with a typed
-//                                          error, and deadline-expired jobs
-//                                          answer degraded:true partials.
-//                                          EOF drains and exits 0; SIGINT/
-//                                          SIGTERM cancels in-flight jobs
-//                                          (each still answers) and exits
-//                                          3. stdout carries only protocol
-//                                          lines; diagnostics go to stderr.
-//   dft_tool export  <name> <out.bench>    dump a built-in circuit
+//   stats  <circuit>           structural summary
+//   scoap  <circuit> [N]       N hardest nets (default 10)
+//   faults <circuit>           fault universe / collapsing
+//   atpg   <circuit>           full ATPG run + test vectors; --retry-aborted
+//                              re-attacks aborted faults with escalating
+//                              limits + a D-algorithm prover
+//   bist   <circuit>           pseudo-random self-test: LFSR PRPG patterns,
+//                              signature-register response compaction,
+//                              fault-sim coverage grading
+//   scan   <circuit> [chains]  LSSD insertion, writes the result
+//   lint   <circuit>           design-rule check; exits 1 on any error
+//   sta    <circuit>           static structural analysis: proven-constant
+//                              lines, unobservable gates and the statically
+//                              untestable faults (--faults lists each one)
+//   simd   [--names]           the SIMD pattern-word lanes this host can run
+//                              and the one DFT_SIMD resolves to
+//   serve                      the long-lived JSON-lines daemon over stdin
+//                              or a Unix socket (see src/serve/server.h);
+//                              stdout carries only protocol lines
+//   export <name> <out.bench>  dump a built-in circuit
 //
-// The pattern-word width of the PPSFP engines (64/256/512 patterns per
-// pass) is picked at runtime: DFT_SIMD=auto|off|scalar4|scalar8|avx2|avx512
-// in the environment overrides the build default (auto = widest ISA the
-// host supports). Every lane produces bit-identical detections.
+// usage() lists every flag. atpg, bist and sta run the dft::jobs functions
+// the daemon runs too, and their flags are rows of the same option table
+// as the daemon's request options, with the same bounds: --threads 1..64
+// fault-sim workers, --patterns 1..1000000, --engine event (default) |
+// serial | deductive (identical results), --time-budget-ms 0..86400000
+// (an expired budget exits 3 with the partial result). Every number on the
+// command line, positional ones included, is parsed strictly against its
+// bounds; a malformed or out-of-range one is a usage error.
 //
-// Observability flags, accepted by every command:
-//   --stats               print the dft::obs metrics table after the run
-//   --report-json <file>  write the versioned machine-readable run report
-//   --trace-json <file>   write a Chrome trace_event JSON (chrome://tracing)
-//   --progress-every-ms N stream NDJSON progress events (schema
-//                         data/obs_progress_schema_v2.json), at most one
-//                         every N ms, to stderr or --progress-file <file>;
-//                         the stream always closes with a "final":true line
-//                         carrying the run status, even on ^C / budget
-//                         expiry / error
-// DFT_OBS=0 in the environment disables all metric recording.
+// A <circuit> is a .bench file or a built-in name: c17, adder4, adder8,
+// mult3, dec3, parity8, mux3, cmp4, sn74181, counter8, accum4, rand2k,
+// rand20k. DFT_SIMD=auto|off|scalar4|scalar8|avx2|avx512 overrides the
+// build's pattern-word lane (every lane gives bit-identical detections).
 //
-// Every command that reads a .bench file also accepts a built-in circuit
-// name: c17, adder4, adder8, mult3, dec3, parity8, mux3, cmp4, sn74181,
-// counter8, accum4, rand2k, rand20k.
+// Observability flags, accepted by every command: --stats (metrics table),
+// --report-json <file> (versioned run report), --trace-json <file> (Chrome
+// trace_event JSON), --progress-every-ms N (NDJSON progress, schema
+// data/obs_progress_schema_v2.json, to stderr or --progress-file <file>;
+// the stream always closes with a "final":true line carrying the run
+// status, even on ^C, budget expiry or error). DFT_OBS=0 disables metrics.
 //
 // Exit codes: 0 success, 1 runtime failure (including lint errors), 2 usage
 // error, 3 budget expired / interrupted with a valid partial result.
+#include <algorithm>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -99,8 +59,7 @@
 #include "fx/fx.h"
 #include "guard/guard.h"
 #include "fault/fault.h"
-#include "fault/threaded_fault_sim.h"
-#include "lfsr/lfsr.h"
+#include "jobs/jobs.h"
 #include "lint/engine.h"
 #include "measure/scoap.h"
 #include "netlist/bench_io.h"
@@ -110,9 +69,7 @@
 #include "obs/trace.h"
 #include "scan/scan_insert.h"
 #include "serve/server.h"
-#include "sim/comb_sim.h"
 #include "sim/simd.h"
-#include "sta/sta.h"
 
 using namespace dft;
 
@@ -144,11 +101,13 @@ int usage() {
                "[--default-deadline-ms M]\n"
                "       dft_tool export <name> <out.bench>\n"
                "valid --engine values: event (default), serial, deductive\n"
+               "bounds: --threads and --workers 1..64, --patterns 1..1000000, "
+               "every M 0..86400000 ms\n"
                "DFT_SIMD=auto|off|scalar4|scalar8|avx2|avx512 selects the "
                "PPSFP pattern-word lane\n"
                "observability (any command): [--stats] "
                "[--report-json <file>] [--trace-json <file>]\n"
-               "                             [--progress-every-ms N] "
+               "                             [--progress-every-ms M] "
                "[--progress-file <file>]\n");
   return kExitUsage;
 }
@@ -169,12 +128,6 @@ std::shared_ptr<guard::CancelToken> sigint_token_ref() {
   return {&sigint_token(), [](guard::CancelToken*) {}};
 }
 
-// The name table lives in dft::serve (the daemon resolves the same names
-// for its requests); the CLI delegates so the two can never drift apart.
-Netlist builtin(const std::string& name) {
-  return serve::builtin_circuit(name);
-}
-
 // Observability outputs requested on the command line. The flags are
 // extracted before mode dispatch so every mode accepts them uniformly.
 struct ObsFlags {
@@ -185,12 +138,31 @@ struct ObsFlags {
   std::string progress_path;         // empty = stderr
 };
 
-bool parse_int(const char* s, int& out) {
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0') return false;
-  out = static_cast<int>(v);
-  return true;
+// Reads args[2..]: the job-option flags the mode lists in `flags`, via the
+// shared option table. Anything else, a missing value or a rejected one
+// throws jobs::OptionError (exit 2).
+void parse_flags(const std::vector<std::string>& args,
+                 std::initializer_list<std::string_view> flags,
+                 jobs::Options& opt) {
+  for (std::size_t i = 2; i < args.size(); ++i) {
+    const std::string& a = args[i];
+    const jobs::OptionSpec* spec = jobs::find_flag(a);
+    if (spec == nullptr || std::find(flags.begin(), flags.end(), a) ==
+                               flags.end()) {
+      throw jobs::OptionError("unknown flag '" + a + "' for this mode");
+    }
+    using Kind = jobs::OptionSpec::Kind;
+    std::string v;
+    if (spec->kind != Kind::Flag) {
+      if (i + 1 == args.size()) throw jobs::OptionError(a + " needs a value");
+      v = args[++i];
+    }
+    jobs::set_option(opt, *spec,
+                     spec->kind == Kind::Int
+                         ? jobs::parse_integer(a, v, spec->lo, spec->hi)
+                         : 0,
+                     v);
+  }
 }
 
 // Writes the stats table / report JSON / trace JSON as requested. Returns
@@ -267,21 +239,22 @@ int run_tool(const std::vector<std::string>& args,
     serve::ServerOptions sopt;
     std::string socket_path;
     for (std::size_t i = 1; i < args.size(); ++i) {
-      int v = 0;
-      if (args[i] == "--socket" && i + 1 < args.size()) {
-        socket_path = args[++i];
-      } else if (args[i] == "--workers" && i + 1 < args.size()) {
-        if (!parse_int(args[++i].c_str(), v) || v < 1) return usage();
-        sopt.workers = v;
-      } else if (args[i] == "--max-inflight" && i + 1 < args.size()) {
-        if (!parse_int(args[++i].c_str(), v) || v < 1) return usage();
-        sopt.max_inflight = v;
-      } else if (args[i] == "--cache-size" && i + 1 < args.size()) {
-        if (!parse_int(args[++i].c_str(), v) || v < 0) return usage();
-        sopt.cache_capacity = static_cast<std::size_t>(v);
-      } else if (args[i] == "--default-deadline-ms" && i + 1 < args.size()) {
-        if (!parse_int(args[++i].c_str(), v) || v < 0) return usage();
-        sopt.default_deadline_ms = v;
+      if (i + 1 == args.size()) return usage();
+      const std::string& a = args[i];
+      const std::string& v = args[++i];
+      if (a == "--socket") {
+        socket_path = v;
+      } else if (a == "--workers") {
+        sopt.workers =
+            static_cast<int>(jobs::parse_integer(a, v, 1, jobs::kMaxThreads));
+      } else if (a == "--max-inflight") {
+        sopt.max_inflight =
+            static_cast<int>(jobs::parse_integer(a, v, 1, INT_MAX));
+      } else if (a == "--cache-size") {
+        sopt.cache_capacity =
+            static_cast<std::size_t>(jobs::parse_integer(a, v, 0, INT_MAX));
+      } else if (a == "--default-deadline-ms") {
+        sopt.default_deadline_ms = jobs::parse_integer(a, v, 0, jobs::kMaxMs);
       } else {
         return usage();
       }
@@ -325,7 +298,7 @@ int run_tool(const std::vector<std::string>& args,
 
   if (cmd == "export") {
     if (args.size() < 3) return usage();
-    const Netlist nl = builtin(args[1]);
+    const Netlist nl = serve::builtin_circuit(args[1]);
     std::ofstream out(args[2]);
     if (!out) {
       std::fprintf(stderr, "cannot write %s\n", args[2].c_str());
@@ -336,13 +309,13 @@ int run_tool(const std::vector<std::string>& args,
     return 0;
   }
 
-  const Netlist nl = [&] {
+  Netlist nl = [&] {
     obs::Phase phase("parse");
     // Accept either a .bench file or a built-in circuit name.
     if (std::ifstream probe(args[1]); probe.good()) {
       return read_bench_file(args[1].c_str());
     }
-    return builtin(args[1]);
+    return serve::builtin_circuit(args[1]);
   }();
 
   if (cmd == "lint") {
@@ -372,8 +345,11 @@ int run_tool(const std::vector<std::string>& args,
     return 0;
   }
   if (cmd == "scoap") {
-    const std::size_t n = args.size() > 2 ? std::stoul(args[2]) : 10;
-    std::printf("%s", scoap_report(nl, compute_scoap(nl), n).c_str());
+    const long long n =
+        args.size() > 2 ? jobs::parse_integer("N", args[2], 0, INT_MAX) : 10;
+    std::printf("%s", scoap_report(nl, compute_scoap(nl),
+                                   static_cast<std::size_t>(n))
+                          .c_str());
     return 0;
   }
   if (cmd == "faults") {
@@ -385,46 +361,25 @@ int run_tool(const std::vector<std::string>& args,
     return 0;
   }
   if (cmd == "atpg") {
-    AtpgOptions opt;
+    jobs::Options opt;
     opt.backtrack_limit = 100000;
-    long long budget_ms = -1;
-    for (std::size_t i = 2; i < args.size(); ++i) {
-      if (args[i] == "--threads" && i + 1 < args.size()) {
-        if (!parse_int(args[++i].c_str(), opt.threads) || opt.threads < 1) {
-          std::fprintf(stderr, "--threads must be >= 1 (got %s)\n",
-                       args[i].c_str());
-          return usage();
-        }
-      } else if (args[i] == "--engine" && i + 1 < args.size()) {
-        opt.engine = args[++i];
-      } else if (args[i] == "--time-budget-ms" && i + 1 < args.size()) {
-        int ms = 0;
-        if (!parse_int(args[++i].c_str(), ms) || ms < 0) return usage();
-        budget_ms = ms;
-      } else if (args[i] == "--retry-aborted") {
-        opt.retry_aborted = true;
-      } else {
-        return usage();
-      }
-    }
+    parse_flags(
+        args, {"--threads", "--engine", "--time-budget-ms", "--retry-aborted"},
+        opt);
     context["threads"] = std::to_string(opt.threads);
     context["engine"] = opt.engine.empty() ? "event" : opt.engine;
-    const auto faults = [&] {
-      obs::Phase phase("collapse");
-      return collapse_faults(nl).representatives;
-    }();
+    const jobs::CompiledCircuit c = jobs::compile(std::move(nl));
     // Arm the budget only now, after parse and collapse: the deadline
     // covers the ATPG run itself. The SIGINT token is attached either way
     // so ^C degrades gracefully even without --time-budget-ms.
-    if (budget_ms >= 0) opt.budget.set_deadline_ms(budget_ms);
-    opt.budget.set_cancel_token(sigint_token_ref());
-    const AtpgRun run = run_atpg(nl, faults, opt);
+    const AtpgRun run = jobs::atpg(
+        c, opt, jobs::make_budget(opt.deadline_ms, sigint_token_ref()));
     context["status"] = std::string(guard::to_string(run.status));
     context["elapsed_ms"] = std::to_string(run.elapsed_ms);
     std::printf("%zu faults: coverage %.2f%% (test coverage %.2f%%), "
                 "%zu tests, %zu redundant, %zu aborted "
                 "(backtrack limit %d)\n",
-                faults.size(), 100 * run.fault_coverage(),
+                c.faults.size(), 100 * run.fault_coverage(),
                 100 * run.test_coverage(), run.tests.size(),
                 run.redundant.size(), run.aborted.size(),
                 run.backtrack_limit);
@@ -444,171 +399,72 @@ int run_tool(const std::vector<std::string>& args,
       std::printf("  %s\n", s.c_str());
     }
     for (const Fault& f : run.redundant) {
-      std::printf("  redundant: %s\n", fault_name(nl, f).c_str());
+      std::printf("  redundant: %s\n", fault_name(c.netlist, f).c_str());
     }
     return guard::interrupted(run.status) ? kExitInterrupted : kExitOk;
   }
   if (cmd == "bist") {
-    int patterns = 1024, threads = 1;
-    long long budget_ms = -1;
-    std::string engine;
-    for (std::size_t i = 2; i < args.size(); ++i) {
-      if (args[i] == "--patterns" && i + 1 < args.size()) {
-        if (!parse_int(args[++i].c_str(), patterns) || patterns <= 0) {
-          return usage();
-        }
-      } else if (args[i] == "--threads" && i + 1 < args.size()) {
-        if (!parse_int(args[++i].c_str(), threads) || threads < 1) {
-          std::fprintf(stderr, "--threads must be >= 1 (got %s)\n",
-                       args[i].c_str());
-          return usage();
-        }
-      } else if (args[i] == "--engine" && i + 1 < args.size()) {
-        engine = args[++i];
-      } else if (args[i] == "--time-budget-ms" && i + 1 < args.size()) {
-        int ms = 0;
-        if (!parse_int(args[++i].c_str(), ms) || ms < 0) return usage();
-        budget_ms = ms;
-      } else {
-        return usage();
-      }
-    }
-    context["threads"] = std::to_string(threads);
-    context["patterns"] = std::to_string(patterns);
-    context["engine"] = engine.empty() ? "event" : engine;
-    const auto faults = [&] {
-      obs::Phase phase("collapse");
-      return collapse_faults(nl).representatives;
-    }();
-
-    // PRPG: one maximal LFSR feeding every source serially, exactly like a
-    // pseudo-random scan-BIST session shifting the chain from the generator.
-    const std::size_t nsrc = source_count(nl);
-    std::vector<SourceVector> tests;
-    {
-      obs::Phase phase("bist.prpg");
-      Lfsr prpg = Lfsr::maximal(24, 0x5eed);
-      tests.reserve(static_cast<std::size_t>(patterns));
-      for (int p = 0; p < patterns; ++p) {
-        SourceVector v(nsrc);
-        for (auto& bit : v) bit = to_logic(prpg.step());
-        tests.push_back(std::move(v));
-      }
-    }
-
-    // Good-machine signature: serialize every primary-output response
-    // through a signature analyzer (Fig. 8), as scan-out would.
-    std::uint64_t signature = 0;
-    std::uint64_t signature_updates = 0;
-    {
-      obs::Phase phase("bist.signature");
-      CombSim sim(nl);
-      SignatureAnalyzer sa(32);
-      for (const SourceVector& v : tests) {
-        std::size_t k = 0;
-        for (GateId g : nl.inputs()) sim.set_value(g, v[k++]);
-        for (GateId g : nl.storage()) sim.set_value(g, v[k++]);
-        sim.evaluate();
-        for (GateId po : nl.outputs()) {
-          sa.shift(sim.value(po) == Logic::One);
-          ++signature_updates;
-        }
-      }
-      signature = sa.signature();
-    }
-
-    // The deadline covers the coverage-grading fault simulation, the
-    // expensive part of the session; the PRPG and good-machine signature
-    // above are a negligible prefix.
-    guard::Budget budget;
-    if (budget_ms >= 0) budget.set_deadline_ms(budget_ms);
-    budget.set_cancel_token(sigint_token_ref());
-
-    // Coverage grading of the pseudo-random pattern set.
-    const FaultSimResult sim_result = [&] {
-      obs::Phase phase("bist.fault_sim");
-      const auto fsim = make_fault_sim_engine(nl, engine, threads);
-      fsim->set_progress_phase("bist.fault_sim");
-      return fsim->run(tests, faults, true, &budget);
-    }();
-
-    context["status"] = std::string(guard::to_string(sim_result.status));
-    if (obs::enabled()) {
-      obs::Registry& reg = obs::Registry::global();
-      reg.counter("bist.prpg.patterns_applied")
-          .add(static_cast<std::uint64_t>(patterns));
-      reg.counter("bist.prpg.signature_updates").add(signature_updates);
-      record_coverage_curve("bist.coverage_curve",
-                            sim_result.first_detected_by, tests.size());
-    }
+    jobs::Options opt;
+    opt.patterns = 1024;
+    opt.seed = 0x5eed;
+    parse_flags(args,
+                {"--patterns", "--threads", "--engine", "--time-budget-ms"},
+                opt);
+    context["threads"] = std::to_string(opt.threads);
+    context["patterns"] = std::to_string(opt.patterns);
+    context["engine"] = opt.engine.empty() ? "event" : opt.engine;
+    const jobs::CompiledCircuit c = jobs::compile(std::move(nl));
+    const jobs::BistResult r = jobs::bist(
+        c, opt, jobs::make_budget(opt.deadline_ms, sigint_token_ref()));
+    context["status"] = std::string(guard::to_string(r.grading.status));
     std::printf("%d pseudo-random patterns over %zu sources, signature "
                 "%016llx (%llu updates)\n",
-                patterns, nsrc,
-                static_cast<unsigned long long>(signature),
-                static_cast<unsigned long long>(signature_updates));
+                opt.patterns, r.sources,
+                static_cast<unsigned long long>(r.signature),
+                static_cast<unsigned long long>(r.signature_updates));
     std::printf("%zu faults: coverage %.2f%% (%d detected), grading %s\n",
-                faults.size(), 100 * sim_result.coverage(),
-                sim_result.num_detected,
-                guard::to_string(sim_result.status).data());
-    return guard::interrupted(sim_result.status) ? kExitInterrupted : kExitOk;
+                c.faults.size(), 100 * r.grading.coverage(),
+                r.grading.num_detected,
+                guard::to_string(r.grading.status).data());
+    return guard::interrupted(r.grading.status) ? kExitInterrupted : kExitOk;
   }
   if (cmd == "sta") {
-    sta::StaOptions opt;
-    bool list_faults = false;
-    long long budget_ms = -1;
-    for (std::size_t i = 2; i < args.size(); ++i) {
-      if (args[i] == "--no-learn") {
-        opt.learn = false;
-      } else if (args[i] == "--faults") {
-        list_faults = true;
-      } else if (args[i] == "--time-budget-ms" && i + 1 < args.size()) {
-        int ms = 0;
-        if (!parse_int(args[++i].c_str(), ms) || ms < 0) return usage();
-        budget_ms = ms;
-      } else {
-        return usage();
-      }
-    }
-    const auto faults = [&] {
-      obs::Phase phase("collapse");
-      return collapse_faults(nl).representatives;
-    }();
-    if (budget_ms >= 0) opt.budget.set_deadline_ms(budget_ms);
-    opt.budget.set_cancel_token(sigint_token_ref());
-    obs::Phase phase("sta");
-    const sta::StaticAnalyzer analyzer(nl, opt);
-    const std::vector<Fault> untestable = analyzer.untestable_faults(faults);
-    const sta::StaStats& s = analyzer.stats();
+    jobs::Options opt;
+    std::vector<std::string> rest = args;
+    const bool list_faults = std::erase(rest, "--faults") > 0;
+    parse_flags(rest, {"--no-learn", "--time-budget-ms"}, opt);
+    const jobs::CompiledCircuit c = jobs::compile(std::move(nl));
+    const jobs::StaResult r = jobs::sta(
+        c, opt, jobs::make_budget(opt.deadline_ms, sigint_token_ref()));
+    const sta::StaStats& s = r.stats;
     context["status"] = std::string(guard::to_string(s.status));
     context["elapsed_ms"] = std::to_string(s.elapsed_ms);
-    if (obs::enabled()) {
-      obs::Registry::global()
-          .counter("sta.untestable_faults")
-          .add(static_cast<std::uint64_t>(untestable.size()));
-    }
     std::printf("%zu gates: %d constant line(s), %d unobservable gate(s), "
                 "%lld learned implication(s) in %d round(s)\n",
-                nl.size(), s.constants_found, s.unobservable_gates,
+                c.netlist.size(), s.constants_found, s.unobservable_gates,
                 s.implications_learned, s.fixpoint_iterations);
     std::printf("%zu collapsed faults: %zu statically untestable (%.2f%%), "
                 "status %s after %lld ms\n",
-                faults.size(), untestable.size(),
-                faults.empty() ? 0.0
-                               : 100.0 * static_cast<double>(untestable.size()) /
-                                     static_cast<double>(faults.size()),
+                c.faults.size(), r.untestable.size(),
+                c.faults.empty()
+                    ? 0.0
+                    : 100.0 * static_cast<double>(r.untestable.size()) /
+                          static_cast<double>(c.faults.size()),
                 guard::to_string(s.status).data(), s.elapsed_ms);
     if (list_faults) {
-      for (const Fault& f : untestable) {
-        std::printf("  untestable: %s\n", fault_name(nl, f).c_str());
+      for (const Fault& f : r.untestable) {
+        std::printf("  untestable: %s\n", fault_name(c.netlist, f).c_str());
       }
     }
     return guard::interrupted(s.status) ? kExitInterrupted : kExitOk;
   }
   if (cmd == "scan") {
     Netlist copy = nl;
-    const int chains = args.size() > 2 ? std::atoi(args[2].c_str()) : 1;
+    const long long chains =
+        args.size() > 2 ? jobs::parse_integer("chains", args[2], 1, INT_MAX)
+                        : 1;
     const ScanInsertionResult res =
-        insert_scan(copy, ScanStyle::Lssd, chains);
+        insert_scan(copy, ScanStyle::Lssd, static_cast<int>(chains));
     std::printf("converted %d flops into %zu chain(s); overhead %.1f%%, "
                 "+%d pins\n",
                 res.converted_flops, res.chains.size(),
@@ -646,9 +502,14 @@ int main(int argc, char** argv) {
       flags.trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--progress-every-ms") == 0 &&
                i + 1 < argc) {
-      int ms = 0;
-      if (!parse_int(argv[++i], ms) || ms < 0) return usage();
-      flags.progress_every_ms = ms;
+      try {
+        flags.progress_every_ms =
+            jobs::parse_integer(argv[i], argv[i + 1], 0, jobs::kMaxMs);
+      } catch (const jobs::OptionError& e) {
+        std::fprintf(stderr, "dft_tool: %s\n", e.what());
+        return usage();
+      }
+      ++i;
     } else if (std::strcmp(argv[i], "--progress-file") == 0 && i + 1 < argc) {
       flags.progress_path = argv[++i];
     } else {
@@ -678,6 +539,9 @@ int main(int argc, char** argv) {
   int rc;
   try {
     rc = run_tool(args, context);
+  } catch (const jobs::OptionError& e) {
+    std::fprintf(stderr, "dft_tool: %s\n", e.what());
+    rc = usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     context["error"] = e.what();

@@ -48,17 +48,22 @@ std::unique_ptr<FaultSimEngine> make_fault_sim_engine(const Netlist& nl,
         "fault-sim threads must be >= 1 (got " + std::to_string(threads) +
         ")");
   }
+  check_fault_sim_engine(engine);
   if (engine.empty() || engine == "event") {
     return make_fault_sim_engine(nl, threads, FaultSimKernel::Event, lane);
   }
-  if (engine == "serial" || engine == "deductive") {
-    if (threads != 1) {
-      throw std::invalid_argument("engine '" + std::string(engine) +
-                                  "' is single-machine; --threads requires "
-                                  "event");
-    }
-    if (engine == "serial") return std::make_unique<SerialFaultSimulator>(nl);
-    return std::make_unique<DeductiveFaultSimulator>(nl);
+  if (threads != 1) {
+    throw std::invalid_argument("engine '" + std::string(engine) +
+                                "' is single-machine; --threads requires "
+                                "event");
+  }
+  if (engine == "serial") return std::make_unique<SerialFaultSimulator>(nl);
+  return std::make_unique<DeductiveFaultSimulator>(nl);
+}
+
+void check_fault_sim_engine(std::string_view engine) {
+  for (std::string_view name : {"", "event", "serial", "deductive"}) {
+    if (engine == name) return;
   }
   throw std::invalid_argument(
       "unknown fault-sim engine '" + std::string(engine) +

@@ -163,7 +163,9 @@ std::unique_ptr<FaultSimEngine> make_fault_sim_engine(Netlist&&, int,
 // honors threads (> 1 wraps it in the threaded engine) and the SIMD lane;
 // "serial" and "deductive" are inherently single-machine, 64-bit engines
 // and throw std::invalid_argument when threads != 1, like an unknown engine
-// name or a thread count < 1 does.
+// name or a thread count < 1 does. check_fault_sim_engine throws the
+// factory's unknown-name error without building anything.
+void check_fault_sim_engine(std::string_view engine);
 std::unique_ptr<FaultSimEngine> make_fault_sim_engine(
     const Netlist& nl, std::string_view engine, int threads = 1);
 std::unique_ptr<FaultSimEngine> make_fault_sim_engine(Netlist&&,

@@ -48,12 +48,9 @@ Netlist builtin_circuit(const std::string& name) {
 
 std::shared_ptr<const CompiledCircuit> compile_circuit(
     const ServeRequest& req) {
-  auto compiled = std::make_shared<CompiledCircuit>();
-  compiled->netlist = req.circuit.empty()
-                          ? read_bench_string(req.bench, "request:" + req.id)
-                          : builtin_circuit(req.circuit);
-  compiled->faults = collapse_faults(compiled->netlist).representatives;
-  return compiled;
+  return std::make_shared<const CompiledCircuit>(jobs::compile(
+      req.circuit.empty() ? read_bench_string(req.bench, "request:" + req.id)
+                          : builtin_circuit(req.circuit)));
 }
 
 namespace {

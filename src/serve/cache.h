@@ -23,19 +23,16 @@
 #include <string>
 #include <vector>
 
-#include "fault/fault.h"
+#include "jobs/jobs.h"
 #include "netlist/netlist.h"
 
 namespace dft::serve {
 
 struct ServeRequest;
 
-// A netlist plus its collapsed fault representatives -- everything the job
-// handlers need that is derivable from the circuit bytes alone.
-struct CompiledCircuit {
-  Netlist netlist;
-  std::vector<Fault> faults;  // collapse_faults(netlist).representatives
-};
+// The older name of jobs::CompiledCircuit, still used by the benchmark's
+// serve workload (perfbench/serve_workload.cpp).
+using CompiledCircuit = jobs::CompiledCircuit;
 
 // The built-in circuit table (same names the dft_tool CLI accepts: c17,
 // adder4, ..., rand20k). Throws std::invalid_argument on unknown names.

@@ -1,7 +1,7 @@
 #include "serve/protocol.h"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "obs/json.h"
 
@@ -11,31 +11,36 @@ namespace {
 
 using obs::Json;
 
-// Option extraction helpers. Every failure is a BadRequest carrying the
-// already-recovered request id, so the client can correlate the rejection.
-
 [[noreturn]] void bad(const std::string& message, const std::string& id,
                       const std::string& op = {}) {
   throw RequestError(ErrorType::BadRequest, message, id, op);
 }
 
-long long int_option(const Json& v, const std::string& key, long long lo,
-                     long long hi, const std::string& id) {
-  if (!v.is_number()) bad("option '" + key + "' must be a number", id);
-  const double d = v.as_number();
-  if (d != std::floor(d)) bad("option '" + key + "' must be an integer", id);
-  if (d < static_cast<double>(lo) || d > static_cast<double>(hi)) {
-    bad("option '" + key + "' out of range [" + std::to_string(lo) + ", " +
-            std::to_string(hi) + "]",
-        id);
+// Type-checks one request option, then stores it through the jobs option
+// table, which owns the bounds. Every failure is a BadRequest carrying the
+// already-recovered request id, so the client can correlate the rejection.
+void set_option(jobs::Options& opt, const jobs::OptionSpec& spec,
+                const Json& v, const std::string& id) {
+  using Kind = jobs::OptionSpec::Kind;
+  const std::string name = "option '" + std::string(spec.key) + "'";
+  try {
+    if (spec.kind == Kind::Bool) {
+      if (!v.is_bool()) bad(name + " must be a bool", id);
+      jobs::set_option(opt, spec, v.as_bool());
+    } else if (spec.kind == Kind::String) {
+      if (!v.is_string()) bad(name + " must be a string", id);
+      jobs::set_option(opt, spec, 0, v.as_string());
+    } else {
+      if (!v.is_number()) bad(name + " must be a number", id);
+      const double d = v.as_number();
+      if (d != std::floor(d)) bad(name + " must be an integer", id);
+      // Clamped only to convert safely: every bound lies well inside.
+      jobs::set_option(opt, spec,
+                       static_cast<long long>(std::clamp(d, -0x1p62, 0x1p62)));
+    }
+  } catch (const jobs::OptionError& e) {
+    bad(e.what(), id);
   }
-  return static_cast<long long>(d);
-}
-
-const std::string& string_option(const Json& v, const std::string& key,
-                                 const std::string& id) {
-  if (!v.is_string()) bad("option '" + key + "' must be a string", id);
-  return v.as_string();
 }
 
 }  // namespace
@@ -129,32 +134,10 @@ ServeRequest parse_request(std::string_view line) {
   if (const Json* options = doc.find("options"); options != nullptr) {
     if (!options->is_object()) bad("'options' must be an object", req.id, op_s);
     for (const auto& [key, value] : options->as_object()) {
-      if (key == "deadline_ms") {
-        req.options.deadline_ms = int_option(value, key, 0, 86'400'000, req.id);
-      } else if (key == "patterns") {
-        req.options.patterns =
-            static_cast<int>(int_option(value, key, 1, 1'000'000, req.id));
-      } else if (key == "engine") {
-        req.options.engine = string_option(value, key, req.id);
-      } else if (key == "threads") {
-        req.options.threads =
-            static_cast<int>(int_option(value, key, 1, 64, req.id));
-      } else if (key == "backtrack_limit") {
-        req.options.backtrack_limit =
-            static_cast<int>(int_option(value, key, 1, 1'000'000'000, req.id));
-      } else if (key == "include_tests") {
-        if (!value.is_bool()) bad("option 'include_tests' must be a bool",
-                                  req.id);
-        req.options.include_tests = value.as_bool();
-      } else if (key == "seed") {
-        req.options.seed = static_cast<std::uint64_t>(int_option(
-            value, key, 0, (1LL << 53), req.id));
-      } else if (key == "resume_of") {
-        req.options.resume_of = string_option(value, key, req.id);
-      } else {
-        // Strict: a typo'd option must not silently fall back to a default.
-        bad("unknown option '" + key + "'", req.id, op_s);
-      }
+      const jobs::OptionSpec* spec = jobs::find_option(key);
+      // Strict: a typo'd option must not silently fall back to a default.
+      if (spec == nullptr) bad("unknown option '" + key + "'", req.id, op_s);
+      set_option(req.options, *spec, value, req.id);
     }
   }
   if (!req.options.resume_of.empty() && req.op != Op::Atpg) {

@@ -10,8 +10,10 @@
 //   {"schema":"dft-serve-request","version":1,"id":"r1","op":"atpg",
 //    "circuit":"sn74181","options":{"deadline_ms":100,"patterns":256}}
 // `circuit` names a built-in; `bench` (mutually exclusive) carries inline
-// .bench source. Unknown option keys are rejected, not ignored: a client
-// typo'ing "deadline_m" must hear about it, not silently run unbounded.
+// .bench source. Option keys and bounds come from the option table in
+// jobs/jobs.h, which dft_tool's flags use too. Unknown option keys are
+// rejected, not ignored: a client typo'ing "deadline_m" must hear about
+// it, not silently run unbounded.
 //
 // Response (data/serve_response_schema_v1.json):
 //   {"schema":"dft-serve-response","version":1,"id":"r1","op":"atpg",
@@ -35,6 +37,7 @@
 #include <string_view>
 
 #include "guard/guard.h"
+#include "jobs/jobs.h"
 #include "obs/json.h"
 
 namespace dft::serve {
@@ -54,23 +57,12 @@ enum class ErrorType : std::uint8_t {
 };
 std::string_view error_type_name(ErrorType t);
 
-struct RequestOptions {
-  long long deadline_ms = -1;  // -1 = server default / unlimited
-  int patterns = 256;          // fault_sim / bist pattern count
-  std::string engine;          // fault-sim engine name ("" = factory default)
-  int threads = 1;             // fault-sim workers inside the job
-  int backtrack_limit = 20000;
-  bool include_tests = false;  // atpg: ship the test vectors in the result
-  std::uint64_t seed = 1;
-  std::string resume_of;       // atpg: continue a retained partial run
-};
-
 struct ServeRequest {
   std::string id;       // client-chosen, echoed on every response
   Op op = Op::Lint;
   std::string circuit;  // built-in name ("" when inline bench given)
   std::string bench;    // inline .bench source ("" when built-in given)
-  RequestOptions options;
+  jobs::Options options;  // deadline_ms -1 = the server default
 };
 
 // Thrown by parse_request (and by job-level validation): carries the typed

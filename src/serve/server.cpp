@@ -8,13 +8,11 @@
 
 #include "fault/threaded_fault_sim.h"
 #include "fx/fx.h"
-#include "lfsr/lfsr.h"
+#include "jobs/jobs.h"
 #include "lint/engine.h"
 #include "measure/scoap.h"
 #include "obs/obs.h"
 #include "obs/progress.h"
-#include "sim/comb_sim.h"
-#include "sta/sta.h"
 
 namespace dft::serve {
 
@@ -148,8 +146,8 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
     response = render_response_error(e.id.empty() ? job->req.id : e.id,
                                      op_name(job->req.op), e.type, e.what());
   } catch (const std::invalid_argument& e) {
-    // Job-level name resolution (fault-sim engine names): the request asked
-    // for something that does not exist.
+    // Job-level argument checks (a single-machine engine asked for more
+    // than one thread): the request asked for something that cannot run.
     ok = false;
     response = render_response_error(job->req.id, op_name(job->req.op),
                                      ErrorType::BadRequest, e.what());
@@ -199,12 +197,10 @@ std::string Server::execute(Job& job, guard::RunStatus& status_out) {
     cache_state = cache_.put(cache_key, circuit) ? "miss" : "uncached";
   }
 
-  guard::Budget budget;
-  const long long deadline_ms = req.options.deadline_ms >= 0
-                                    ? req.options.deadline_ms
-                                    : opt_.default_deadline_ms;
-  if (deadline_ms >= 0) budget.set_deadline_ms(deadline_ms);
-  budget.set_cancel_token(job.token);
+  const guard::Budget budget = jobs::make_budget(
+      req.options.deadline_ms >= 0 ? req.options.deadline_ms
+                                   : opt_.default_deadline_ms,
+      job.token);
 
   const Netlist& nl = circuit->netlist;
   guard::RunStatus status = guard::RunStatus::Completed;
@@ -263,63 +259,31 @@ std::string Server::execute(Job& job, guard::RunStatus& status_out) {
       break;
     }
     case Op::Bist: {
-      const std::size_t nsrc = source_count(nl);
-      std::vector<SourceVector> tests;
-      tests.reserve(static_cast<std::size_t>(req.options.patterns));
-      Lfsr prpg = Lfsr::maximal(
-          24, req.options.seed == 0 ? 0x5eed : req.options.seed);
-      for (int p = 0; p < req.options.patterns; ++p) {
-        SourceVector v(nsrc);
-        for (Logic& bit : v) bit = to_logic(prpg.step());
-        tests.push_back(std::move(v));
-      }
-      std::uint64_t signature = 0;
-      {
-        CombSim sim(nl);
-        SignatureAnalyzer sa(32);
-        for (const SourceVector& v : tests) {
-          std::size_t k = 0;
-          for (GateId g : nl.inputs()) sim.set_value(g, v[k++]);
-          for (GateId g : nl.storage()) sim.set_value(g, v[k++]);
-          sim.evaluate();
-          for (GateId po : nl.outputs()) sa.shift(sim.value(po) == Logic::One);
-        }
-        signature = sa.signature();
-      }
-      const auto engine =
-          make_fault_sim_engine(nl, req.options.engine, req.options.threads);
-      engine->set_progress_phase("serve.bist");
-      const FaultSimResult r =
-          engine->run(tests, circuit->faults, true, &budget);
-      status = r.status;
+      const jobs::BistResult r = jobs::bist(*circuit, req.options, budget);
+      status = r.grading.status;
       char sig[20];
       std::snprintf(sig, sizeof sig, "%016llx",
-                    static_cast<unsigned long long>(signature));
+                    static_cast<unsigned long long>(r.signature));
       obs::JsonWriter b;
       b.begin_object()
-          .int_field("patterns", static_cast<long long>(tests.size()))
+          .int_field("patterns", req.options.patterns)
           .string_field("signature", sig)
           .int_field("faults", static_cast<long long>(circuit->faults.size()))
-          .int_field("detected", r.num_detected)
-          .number_field("coverage_pct", 100 * r.coverage())
+          .int_field("detected", r.grading.num_detected)
+          .number_field("coverage_pct", 100 * r.grading.coverage())
           .end_object();
       result = b.take();
       break;
     }
     case Op::Sta: {
-      sta::StaOptions sopt;
-      sopt.budget = budget;
-      const sta::StaticAnalyzer analyzer(nl, sopt);
-      const std::vector<Fault> untestable =
-          analyzer.untestable_faults(circuit->faults);
-      const sta::StaStats& s = analyzer.stats();
-      status = s.status;
+      const jobs::StaResult r = jobs::sta(*circuit, req.options, budget);
+      status = r.stats.status;
       obs::JsonWriter b;
       b.begin_object()
           .int_field("gates", static_cast<long long>(nl.size()))
-          .int_field("constants", s.constants_found)
-          .int_field("unobservable", s.unobservable_gates)
-          .int_field("untestable", static_cast<long long>(untestable.size()))
+          .int_field("constants", r.stats.constants_found)
+          .int_field("unobservable", r.stats.unobservable_gates)
+          .int_field("untestable", static_cast<long long>(r.untestable.size()))
           .int_field("faults", static_cast<long long>(circuit->faults.size()))
           .end_object();
       result = b.take();
@@ -337,19 +301,11 @@ std::string Server::execute(Job& job, guard::RunStatus& status_out) {
 
 std::string Server::execute_atpg(Job& job, const CompiledCircuit& circuit,
                                  const std::string& cache_key,
-                                 guard::Budget& budget,
+                                 const guard::Budget& budget,
                                  guard::RunStatus& status_out) {
   const ServeRequest& req = job.req;
-  AtpgOptions aopt;
-  aopt.backtrack_limit = req.options.backtrack_limit;
-  aopt.engine = req.options.engine;
-  aopt.threads = req.options.threads;
-  aopt.seed = req.options.seed;
-  aopt.budget = budget;
-
-  AtpgRun run;
+  RetainedPartial partial;
   if (!req.options.resume_of.empty()) {
-    RetainedPartial partial;
     if (!find_partial(req.options.resume_of, partial)) {
       throw RequestError(ErrorType::BadRequest,
                          "no retained partial ATPG run for resume_of '" +
@@ -362,10 +318,10 @@ std::string Server::execute_atpg(Job& job, const CompiledCircuit& circuit,
                              "' was produced on a different circuit",
                          req.id, std::string(op_name(req.op)));
     }
-    run = resume_atpg(circuit.netlist, circuit.faults, partial.run, aopt);
-  } else {
-    run = run_atpg(circuit.netlist, circuit.faults, aopt);
   }
+  const AtpgRun run =
+      jobs::atpg(circuit, req.options, budget,
+                 req.options.resume_of.empty() ? nullptr : &partial.run);
   // A cut-short run is retained under THIS job's id so a follow-up request
   // with options.resume_of=<id> continues instead of restarting -- the
   // degradation ladder's second rung.

@@ -145,7 +145,8 @@ class Server {
   // internal ones.
   std::string execute(Job& job, guard::RunStatus& status_out);
   std::string execute_atpg(Job& job, const CompiledCircuit& circuit,
-                           const std::string& cache_key, guard::Budget& budget,
+                           const std::string& cache_key,
+                           const guard::Budget& budget,
                            guard::RunStatus& status_out);
   void deliver(Job& job, const std::string& line, bool ok, bool degraded);
   // Pre-admission rejection: writes `line` synchronously and bumps the

@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <iterator>
 #include <mutex>
+#include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fault/fault.h"
@@ -18,6 +20,7 @@
 #include "fx/fx.h"
 #include "netlist/logic.h"
 #include "obs/json.h"
+#include "obs/obs.h"
 #include "serve/cache.h"
 #include "serve/server.h"
 
@@ -447,10 +450,29 @@ TEST(ServeServer, DeadlineExpiredAtpgPartialVerifiesAgainstSerialEngine) {
     tests.push_back(std::move(sv));
   }
   ASSERT_EQ(tests.size(), static_cast<std::size_t>(result_number(doc, "tests")));
-  SerialFaultSimulator sim(nl);
-  const FaultSimResult graded = sim.run(tests, col.representatives);
-  int detected = 0;
-  for (int first : graded.first_detected_by) detected += first >= 0 ? 1 : 0;
+  // Serial detection is independent per fault, so the replay runs disjoint
+  // contiguous slices of the fault list on up to four threads, each with
+  // its own simulator, and sums their detections.
+  const std::vector<Fault>& faults = col.representatives;
+  const std::size_t shards =
+      std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, 4);
+  std::vector<int> detected_in(shards, 0);
+  std::vector<std::thread> workers;
+  for (std::size_t k = 0; k < shards; ++k) {
+    workers.emplace_back([&, k] {
+      const auto from = faults.begin() + faults.size() * k / shards;
+      const auto to = faults.begin() + faults.size() * (k + 1) / shards;
+      SerialFaultSimulator sim(nl);
+      const FaultSimResult graded =
+          sim.run(tests, std::vector<Fault>(from, to));
+      for (int first : graded.first_detected_by) {
+        detected_in[k] += first >= 0 ? 1 : 0;
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  const int detected =
+      std::accumulate(detected_in.begin(), detected_in.end(), 0);
   EXPECT_EQ(detected, static_cast<int>(result_number(doc, "detected")))
       << "partial's detected claim must replay on the serial engine";
 }
@@ -490,6 +512,33 @@ TEST(ServeServer, ResumeContinuesARetainedPartial) {
     EXPECT_EQ(error_type(doc), "bad_request") << out.lines()[i];
   }
   expect_accounted(server);
+}
+
+// The daemon runs the same job implementations as dft_tool, so its bist
+// and sta jobs record the counters the CLI modes record.
+TEST(ServeServer, BistAndStaJobsRecordTheCliCounters) {
+  obs::Registry& reg = obs::Registry::global();
+  const std::uint64_t applied0 =
+      reg.counter("bist.prpg.patterns_applied").value();
+  const std::uint64_t untestable0 =
+      reg.counter("sta.untestable_faults").value();
+  Server server;
+  Collector out;
+  server.submit_line(request("b", "bist", "sn74181", "\"patterns\":100"),
+                     out.fn());
+  server.submit_line(request("s", "sta", "rand2k"), out.fn());
+  server.wait_idle();
+  double untestable = -1;
+  for (const std::string& line : out.lines()) {
+    const obs::Json doc = parse(line);
+    ASSERT_TRUE(ok(doc)) << line;
+    if (str(doc, "id") == "s") untestable = result_number(doc, "untestable");
+  }
+  ASSERT_GT(untestable, 0);
+  EXPECT_EQ(reg.counter("bist.prpg.patterns_applied").value() - applied0,
+            100u);
+  EXPECT_EQ(reg.counter("sta.untestable_faults").value() - untestable0,
+            static_cast<std::uint64_t>(untestable));
 }
 
 TEST(ServeServer, InlineBenchCircuitCompilesAndUnparsableIsBadRequest) {
