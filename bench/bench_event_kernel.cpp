@@ -30,6 +30,10 @@
 // patterns) sized for CI; --json <file> writes the dft-obs-report
 // document either way, with per-section "bench.event_kernel.*" timers
 // and "bench.event_kernel.<circuit>.event_{1t,mt}_s" values.
+//
+// Both modes also time the scalar four-valued CombSim good machine on the
+// 20k-gate circuit (1024 LFSR patterns, one pass each, as a BIST signature
+// runs it) and report "bench.comb_sim.rand20k.ns_per_gate_eval".
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -43,7 +47,9 @@
 #include "circuits/sn74181.h"
 #include "fault/fault_sim.h"
 #include "fault/threaded_fault_sim.h"
+#include "lfsr/lfsr.h"
 #include "obs/obs.h"
+#include "sim/comb_sim.h"
 #include "sim/simd.h"
 
 using namespace dft;
@@ -269,6 +275,37 @@ double width_ablation(const Netlist& nl, const std::string& tag,
   return ratio;
 }
 
+// The scalar four-valued good machine alone, driven as a BIST signature
+// drives it: one CombSim pass per pattern of a 24-bit LFSR, 1024 patterns.
+// Reports the minimum over `reps` runs as the cost of one gate evaluation.
+void comb_sim_row(const Netlist& nl, const std::string& tag, int reps) {
+  Lfsr prpg = Lfsr::maximal(24, 0x5eed);
+  std::vector<SourceVector> pats(1024, SourceVector(source_count(nl)));
+  for (SourceVector& v : pats) {
+    for (Logic& bit : v) bit = to_logic(prpg.step());
+  }
+  CombSim sim(nl);
+  double best = 1e30;
+  for (int r = 0; r < reps; ++r) {
+    double t = 0;
+    bench::timed("comb_sim." + tag, &t, [&] {
+      for (const SourceVector& v : pats) {
+        std::size_t k = 0;
+        for (GateId g : nl.inputs()) sim.set_value(g, v[k++]);
+        for (GateId g : nl.storage()) sim.set_value(g, v[k++]);
+        sim.evaluate();
+      }
+    });
+    best = std::min(best, t);
+  }
+  const double ns = best * 1e9 / (static_cast<double>(pats.size()) *
+                                  static_cast<double>(nl.topo_order().size()));
+  std::printf("      comb_sim: %zu LFSR patterns, %.2f ns per gate "
+              "evaluation\n",
+              pats.size(), ns);
+  bench::report_value("comb_sim." + tag + ".ns_per_gate_eval", ns);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -353,6 +390,7 @@ int main(int argc, char** argv) {
     const Netlist nl = make_random_combinational(spec);
     wide_ratio = width_ablation(nl, "rand20k", 512, reps, !smoke);
     if (wide_ratio < 0) return 1;
+    comb_sim_row(nl, "rand20k", reps);
   }
 
   std::printf("\n  expected shape: threads never slower than one thread\n"

@@ -28,9 +28,10 @@ double sequential_random_coverage(const Netlist& nl,
                                   int sequences, int cycles,
                                   std::uint64_t seed) {
   int caught = 0;
+  SeqSim good(nl);
+  SeqSim bad(good);  // shares good's compiled program
   for (const Fault& f : faults) {
     std::mt19937_64 rng(seed);
-    SeqSim good(nl), bad(nl);
     bad.set_stuck({f.gate, f.pin, f.sa1 ? Logic::One : Logic::Zero});
     bool det = false;
     for (int s = 0; s < sequences && !det; ++s) {

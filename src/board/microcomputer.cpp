@@ -198,9 +198,10 @@ double bus_module_coverage(const Microcomputer& mc,
   const int sequences = std::max(1, patterns / cycles);
 
   int caught = 0;
+  SeqSim good(nl);
+  SeqSim bad(good);  // shares good's compiled program
   for (const Fault& f : faults) {
     std::mt19937_64 rng(seed);
-    SeqSim good(nl), bad(nl);
     bad.set_stuck({f.gate, f.pin, f.sa1 ? Logic::One : Logic::Zero});
     bool det = false;
     for (int s = 0; s < sequences && !det; ++s) {

@@ -37,7 +37,8 @@ std::vector<std::uint64_t> FaultDictionary::response_map(
   const std::size_t total_bits = patterns_.size() * obs_count;
   std::vector<std::uint64_t> map((total_bits + 63) / 64, 0);
 
-  CombSim good(*nl_), bad(*nl_);
+  CombSim good(*nl_);
+  CombSim bad(good);  // shares good's compiled program
   bad.set_stuck({f.gate, f.pin, f.sa1 ? Logic::One : Logic::Zero});
   const bool storage_d_fault =
       is_storage(nl_->type(f.gate)) && f.pin == kStoragePinD;

@@ -103,7 +103,7 @@ void record_coverage_curve(std::string_view name,
 // --- Serial --------------------------------------------------------------
 
 SerialFaultSimulator::SerialFaultSimulator(const Netlist& nl)
-    : nl_(&nl), good_(nl), bad_(nl) {}
+    : nl_(&nl), good_(nl), bad_(good_) {}
 
 void SerialFaultSimulator::apply(CombSim& sim, const SourceVector& pattern) {
   const auto& pis = nl_->inputs();

@@ -179,7 +179,7 @@ class SerialFaultSimulator : public FaultSimEngine {
   void apply(CombSim& sim, const SourceVector& pattern);
   const Netlist* nl_;
   CombSim good_;
-  CombSim bad_;
+  CombSim bad_;  // a copy of good_: one compiled program for both
 };
 
 template <typename EB>

@@ -135,7 +135,8 @@ void apply_sources(const Netlist& nl, CombSim& sim, const SourceVector& v) {
 
 bool stuck_open_detected(const Netlist& nl, const StuckOpenFault& f,
                          const SourceVector& init, const SourceVector& test) {
-  CombSim good(nl), bad(nl);
+  CombSim good(nl);
+  CombSim bad(good);  // shares good's compiled program
 
   // Init pattern: in the faulty machine the gate may already float; the
   // retained value is then unknown, so treat it as X (it still initializes

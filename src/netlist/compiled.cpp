@@ -1,6 +1,5 @@
 #include "netlist/compiled.h"
 
-#include <algorithm>
 #include <numeric>
 
 namespace dft {
@@ -43,19 +42,25 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl) {
     fanout_.insert(fanout_.end(), fo.begin(), fo.end());
   }
 
-  // Combinational gates sorted by (level, id): stable within a level so the
-  // order is deterministic, bucketed so the event wheel can address a level
-  // as one contiguous span.
-  topo_.assign(nl.topo_order().begin(), nl.topo_order().end());
-  std::sort(topo_.begin(), topo_.end(), [this](GateId a, GateId b) {
-    return levels_[a] != levels_[b] ? levels_[a] < levels_[b] : a < b;
-  });
+  // Combinational gates in (level, id) order: a counting sort by level over
+  // ascending ids, so the order is deterministic and each level is one
+  // contiguous span the event wheel can address.
   level_offset_.assign(static_cast<std::size_t>(depth_) + 2, 0);
-  for (GateId g : topo_) {
-    ++level_offset_[static_cast<std::size_t>(levels_[g]) + 1];
+  for (GateId g = 0; g < n; ++g) {
+    if (is_combinational(types_[g])) {
+      ++level_offset_[static_cast<std::size_t>(levels_[g]) + 1];
+    }
   }
   std::partial_sum(level_offset_.begin(), level_offset_.end(),
                    level_offset_.begin());
+  topo_.resize(level_offset_.back());
+  std::vector<std::uint32_t> next(level_offset_.begin(),
+                                  level_offset_.end() - 1);
+  for (GateId g = 0; g < n; ++g) {
+    if (is_combinational(types_[g])) {
+      topo_[next[static_cast<std::size_t>(levels_[g])]++] = g;
+    }
+  }
 }
 
 }  // namespace dft

@@ -106,6 +106,15 @@ void ScopedTimer::stop() {
   h_ = nullptr;
 }
 
+PassTally::~PassTally() {
+  if (enabled() && passes_ != 0) {
+    Registry& reg = Registry::global();
+    const std::string prefix(prefix_);
+    reg.counter(prefix + ".passes").add(passes_);
+    reg.counter(prefix + ".gate_evals").add(gate_evals_);
+  }
+}
+
 Registry& Registry::global() {
   static Registry* r = new Registry();  // never destroyed: engines may
   return *r;                            // record from exiting threads

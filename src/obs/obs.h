@@ -175,6 +175,30 @@ class ScopedTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
+// Full-pass tally of one simulator object: passes and gate evaluations
+// accumulate in plain members (the bulk-flush rule above) and are added to
+// "<prefix>.passes" and "<prefix>.gate_evals" once, on destruction. A copy
+// starts at zero and assignment keeps the target's own tally, so copying a
+// simulator never flushes the same pass twice.
+class PassTally {
+ public:
+  // `prefix` must outlive the tally (pass a string literal).
+  explicit PassTally(const char* prefix) : prefix_(prefix) {}
+  PassTally(const PassTally& other) : prefix_(other.prefix_) {}
+  PassTally& operator=(const PassTally&) { return *this; }
+  ~PassTally();
+
+  void add_pass(std::uint64_t gate_evals) {
+    ++passes_;
+    gate_evals_ += gate_evals;
+  }
+
+ private:
+  const char* prefix_;
+  std::uint64_t passes_ = 0;
+  std::uint64_t gate_evals_ = 0;
+};
+
 // Process-wide namespace of metrics. Metric names are dotted paths, e.g.
 // "fault_sim.ppsfp.faults_dropped". Asking twice for the same name returns
 // the same object; asking for the same name as a different kind throws

@@ -6,7 +6,11 @@
 namespace dft {
 
 ScanTester::ScanTester(const Netlist& nl, std::vector<ScanChain> chains)
-    : nl_(&nl), chains_(std::move(chains)), storage_slot_(nl.size(), -1) {
+    : nl_(&nl),
+      chains_(std::move(chains)),
+      storage_slot_(nl.size(), -1),
+      good_(nl),
+      bad_(good_) {
   const auto& ffs = nl.storage();
   for (std::size_t i = 0; i < ffs.size(); ++i) {
     storage_slot_[ffs[i]] = static_cast<int>(nl.inputs().size() + i);
@@ -126,17 +130,19 @@ ScanTester::Application ScanTester::apply(SeqSim& sim,
 
 bool ScanTester::detects(const Fault& f,
                          const std::vector<SourceVector>& tests) {
-  SeqSim good(*nl_);
-  SeqSim bad(*nl_);
-  bad.set_stuck({f.gate, f.pin, f.sa1 ? Logic::One : Logic::Zero});
-  good.reset(Logic::X);
-  bad.reset(Logic::X);
+  // Both machines start every call from the all-X state of a fresh
+  // simulator: every source at X, then this fault injected.
+  for (SeqSim* sim : {&good_, &bad_}) {
+    for (GateId pi : nl_->inputs()) sim->set_input(pi, Logic::X);
+    sim->reset(Logic::X);
+  }
+  bad_.set_stuck({f.gate, f.pin, f.sa1 ? Logic::One : Logic::Zero});
   auto differs = [](Logic a, Logic b) {
     return is_binary(a) && is_binary(b) && a != b;
   };
   for (const auto& t : tests) {
-    const Application ga = apply(good, t);
-    const Application ba = apply(bad, t);
+    const Application ga = apply(good_, t);
+    const Application ba = apply(bad_, t);
     for (std::size_t i = 0; i < ga.po_values.size(); ++i) {
       if (differs(ga.po_values[i], ba.po_values[i])) return true;
     }

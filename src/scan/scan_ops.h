@@ -56,6 +56,9 @@ class ScanTester {
   std::vector<ScanChain> chains_;
   std::vector<int> storage_slot_;  // GateId -> index into pattern state part
   ScanTestStats stats_;
+  // detects()'s good and faulty machines, compiled once per tester.
+  SeqSim good_;
+  SeqSim bad_;
 };
 
 }  // namespace dft

@@ -34,8 +34,8 @@ class BasicParallelSim {
   explicit BasicParallelSim(const Netlist& nl);
   // The simulator keeps a reference: a temporary netlist would dangle.
   explicit BasicParallelSim(Netlist&&) = delete;
-  // Flushes accumulated pass/eval counts to dft::obs ("sim.parallel.*").
-  ~BasicParallelSim();
+  // A copy carries the netlist and the current words; its
+  // "sim.parallel.*" counts start at zero (obs::PassTally).
   BasicParallelSim(const BasicParallelSim&) = default;
   BasicParallelSim& operator=(const BasicParallelSim&) = default;
 
@@ -69,8 +69,7 @@ class BasicParallelSim {
  private:
   const Netlist* nl_;
   std::vector<Word> words_;
-  std::uint64_t obs_passes_ = 0;
-  std::uint64_t obs_gate_evals_ = 0;
+  obs::PassTally tally_{"sim.parallel"};
 };
 
 // The classic 64-pattern simulator every existing consumer names.
@@ -93,16 +92,6 @@ BasicParallelSim<EB>::BasicParallelSim(const Netlist& nl)
 }
 
 template <typename EB>
-BasicParallelSim<EB>::~BasicParallelSim() {
-  if (obs::enabled() && obs_passes_ != 0) {
-    obs::Registry::global().counter("sim.parallel.passes").add(obs_passes_);
-    obs::Registry::global()
-        .counter("sim.parallel.gate_evals")
-        .add(obs_gate_evals_);
-  }
-}
-
-template <typename EB>
 void BasicParallelSim<EB>::set_word(GateId source, const Word& w) {
   const GateType t = nl_->type(source);
   if (t != GateType::Input && !is_storage(t)) {
@@ -116,11 +105,10 @@ template <typename EB>
 void BasicParallelSim<EB>::evaluate() {
   evaluate_gates(nl_->topo_order());
   // Full good-machine passes only; per-fault cone resimulations through
-  // evaluate_gates are not counted. Plain members, flushed on destruction:
-  // each grader owns its simulator, so a shared atomic here would contend
-  // across threads.
-  ++obs_passes_;
-  obs_gate_evals_ += nl_->topo_order().size();
+  // evaluate_gates are not counted. A per-object tally, flushed on
+  // destruction: each grader owns its simulator, so a shared atomic here
+  // would contend across threads.
+  tally_.add_pass(nl_->topo_order().size());
 }
 
 template <typename EB>

@@ -1,10 +1,14 @@
 // Unit tests for the combinational, sequential, and bit-parallel simulators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <optional>
 #include <random>
 
 #include "circuits/basic.h"
 #include "netlist/bench_io.h"
+#include "obs/obs.h"
 #include "sim/comb_sim.h"
 #include "sim/eval.h"
 #include "sim/parallel_sim.h"
@@ -132,6 +136,173 @@ TEST(CombSim, UnsetInputsReadX) {
   CombSim sim(nl);
   sim.evaluate();
   EXPECT_EQ(sim.output_values()[0], Logic::X);
+}
+
+// The compiled program's dual-rail fold (and the eval_gate runs beside it)
+// against the definition: every combinational gate type at every legal
+// fan-in 1..4, on all 4^n input combinations including Z.
+TEST(CombSim, MatchesEvalGateOnEveryInputCombination) {
+  const Logic kAll[] = {Logic::Zero, Logic::One, Logic::X, Logic::Z};
+  for (G t : {G::Output, G::Buf, G::Not, G::And, G::Nand, G::Or, G::Nor,
+              G::Xor, G::Xnor, G::Mux, G::Tristate, G::Bus}) {
+    const FaninArity arity = fanin_arity(t);
+    const int hi = arity.max < 0 ? 4 : std::min(arity.max, 4);
+    for (int n = std::max(arity.min, 1); n <= hi; ++n) {
+      Netlist nl;
+      std::vector<GateId> ins;
+      for (int i = 0; i < n; ++i) ins.push_back(nl.add_input());
+      const GateId g = nl.add_gate(t, ins);
+      CombSim sim(nl);
+      std::vector<Logic> in(static_cast<std::size_t>(n));
+      for (int code = 0; code < (1 << (2 * n)); ++code) {
+        for (int i = 0; i < n; ++i) in[i] = kAll[(code >> (2 * i)) & 3];
+        sim.set_inputs(in);
+        sim.evaluate();
+        ASSERT_EQ(sim.value(g), eval_gate(t, in))
+            << gate_type_name(t) << " fan-in " << n << " code " << code;
+      }
+    }
+  }
+}
+
+// Reference for the differential test below: Netlist::topo_order() walked
+// with eval_gate, the stuck site applied exactly as CombSim documents it.
+std::vector<Logic> reference_eval(const Netlist& nl, std::vector<Logic> v,
+                                  const std::optional<StuckSite>& stuck) {
+  for (GateId g = 0; g < nl.size(); ++g) {
+    if (nl.type(g) == G::Const0) v[g] = Logic::Zero;
+    if (nl.type(g) == G::Const1) v[g] = Logic::One;
+  }
+  if (stuck && stuck->pin < 0 && !is_combinational(nl.type(stuck->gate))) {
+    v[stuck->gate] = stuck->value;
+  }
+  for (GateId g : nl.topo_order()) {
+    std::vector<Logic> in;
+    for (GateId f : nl.fanin(g)) in.push_back(v[f]);
+    const bool here = stuck && stuck->gate == g;
+    if (here && stuck->pin >= 0) in[stuck->pin] = stuck->value;
+    v[g] = here && stuck->pin < 0 ? stuck->value : eval_gate(nl.type(g), in);
+  }
+  return v;
+}
+
+// Random DAGs with constants, storage outputs, every simple gate type,
+// muxes and tri-state buses; random {0,1,X,Z} sources and random stuck
+// sites (pin and output faults, on sources and constants too). Every net
+// must match the reference after every pass.
+TEST(CombSim, MatchesReferenceOnRandomDagsWithFaults) {
+  const Logic kAll[] = {Logic::Zero, Logic::One, Logic::X, Logic::Z};
+  const G kSimple[] = {G::Buf, G::Not, G::And, G::Nand, G::Or,
+                       G::Nor, G::Xor, G::Xnor, G::Mux};
+  std::mt19937_64 rng(2024);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  for (int circuit = 0; circuit < 150; ++circuit) {
+    Netlist nl;
+    std::vector<GateId> nets;
+    for (int i = 0; i < 6; ++i) nets.push_back(nl.add_input());
+    nets.push_back(nl.add_gate(G::Const0, {}));
+    nets.push_back(nl.add_gate(G::Const1, {}));
+    for (int i = 0; i < 2; ++i) {
+      nets.push_back(nl.add_gate(G::Dff, {nets[pick(nets.size())]}));
+    }
+    for (int i = 0; i < 40; ++i) {
+      if (pick(6) == 0) {  // a tri-state bus with 1..3 drivers
+        std::vector<GateId> drivers;
+        for (std::size_t d = 0, k = 1 + pick(3); d < k; ++d) {
+          drivers.push_back(nl.add_gate(
+              G::Tristate, {nets[pick(nets.size())], nets[pick(nets.size())]}));
+        }
+        nets.push_back(nl.add_gate(G::Bus, drivers));
+        continue;
+      }
+      const G t = kSimple[pick(std::size(kSimple))];
+      const FaninArity arity = fanin_arity(t);
+      const std::size_t n =
+          arity.max < 0 ? 1 + pick(4) : static_cast<std::size_t>(arity.max);
+      std::vector<GateId> fin;
+      for (std::size_t k = 0; k < n; ++k) {
+        fin.push_back(nets[pick(nets.size())]);
+      }
+      nets.push_back(nl.add_gate(t, fin));
+    }
+    for (int i = 0; i < 4; ++i) nl.add_output(nets[nets.size() - 1 - pick(20)]);
+
+    CombSim sim(nl);
+    for (int pattern = 0; pattern < 12; ++pattern) {
+      std::vector<Logic> v(nl.size(), Logic::X);
+      for (GateId g : nl.inputs()) v[g] = kAll[pick(4)];
+      for (GateId g : nl.storage()) v[g] = kAll[pick(4)];
+      std::optional<StuckSite> stuck;
+      if (pattern % 4 != 0) {
+        const GateId g = static_cast<GateId>(pick(nl.size()));
+        const std::size_t pins = nl.fanin(g).size();
+        const int pin =
+            pins == 0 || pick(3) == 0 ? -1 : static_cast<int>(pick(pins));
+        stuck = StuckSite{g, pin, pick(2) ? Logic::One : Logic::Zero};
+        sim.set_stuck(*stuck);
+      } else {
+        sim.clear_stuck();
+      }
+      for (GateId g : nl.inputs()) sim.set_value(g, v[g]);
+      for (GateId g : nl.storage()) sim.set_value(g, v[g]);
+      sim.evaluate();
+      const std::vector<Logic> want = reference_eval(nl, v, stuck);
+      for (GateId g = 0; g < nl.size(); ++g) {
+        ASSERT_EQ(sim.value(g), want[g])
+            << "circuit " << circuit << " pattern " << pattern << " gate "
+            << nl.label(g) << " (" << gate_type_name(nl.type(g)) << ")";
+      }
+    }
+  }
+}
+
+// A copy flushes only the passes it ran itself into "sim.comb.*" /
+// "sim.parallel.*", never the original's a second time; an assigned-to
+// simulator keeps its own count.
+TEST(CombSim, CopiesCountOnlyTheirOwnPasses) {
+  obs::set_enabled(true);
+  const Netlist nl = make_c17();
+  obs::Registry& reg = obs::Registry::global();
+  const std::uint64_t passes0 = reg.counter("sim.comb.passes").value();
+  const std::uint64_t evals0 = reg.counter("sim.comb.gate_evals").value();
+  {
+    CombSim a(nl);
+    a.evaluate();
+    a.evaluate();
+    CombSim b(a);
+    b.evaluate();
+    CombSim c(nl);
+    c = a;
+    c.evaluate();
+  }
+  EXPECT_EQ(reg.counter("sim.comb.passes").value() - passes0, 4u);
+  EXPECT_EQ(reg.counter("sim.comb.gate_evals").value() - evals0,
+            4u * nl.topo_order().size());
+}
+
+TEST(ParallelSim, CopiesCountOnlyTheirOwnPasses) {
+  obs::set_enabled(true);
+  const Netlist nl = make_c17();
+  obs::Registry& reg = obs::Registry::global();
+  const std::uint64_t passes0 = reg.counter("sim.parallel.passes").value();
+  const std::uint64_t evals0 = reg.counter("sim.parallel.gate_evals").value();
+  {
+    ParallelSim a(nl);
+    a.set_word(nl.inputs()[0], 0x5555);
+    a.evaluate();
+    a.evaluate();
+    ParallelSim b(a);
+    EXPECT_EQ(b.word(nl.inputs()[0]), 0x5555u);  // a copy keeps the words
+    b.evaluate();
+    ParallelSim c(nl);
+    c = a;
+    c.evaluate();
+  }
+  EXPECT_EQ(reg.counter("sim.parallel.passes").value() - passes0, 4u);
+  EXPECT_EQ(reg.counter("sim.parallel.gate_evals").value() - evals0,
+            4u * nl.topo_order().size());
 }
 
 TEST(SeqSim, CounterCountsFromReset) {
