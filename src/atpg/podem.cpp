@@ -17,10 +17,15 @@ Logic negate(Logic v) { return v == Logic::One ? Logic::Zero : Logic::One; }
 Podem::Podem(const Netlist& nl, int backtrack_limit)
     : nl_(&nl),
       backtrack_limit_(backtrack_limit),
+      cn_(nl),
       scoap_(compute_scoap(nl, ScoapMode::FullScan)),
       source_index_of_(nl.size(), -1),
       values_(nl.size(), DVal::X),
-      observe_(nl.size(), 0) {
+      observe_(nl.size(), 0),
+      wheel_(static_cast<std::size_t>(cn_.depth()) + 1),
+      queued_(nl.size(), 0),
+      error_slot_(nl.size(), 0),
+      seen_(nl.size(), 0) {
   for (GateId g : nl.inputs()) {
     source_index_of_[g] = static_cast<int>(sources_.size());
     sources_.push_back(g);
@@ -29,59 +34,134 @@ Podem::Podem(const Netlist& nl, int backtrack_limit)
     source_index_of_[g] = static_cast<int>(sources_.size());
     sources_.push_back(g);
   }
+  for (GateId g = 0; g < nl.size(); ++g) {
+    const GateType t = nl.type(g);
+    if (t == GateType::Const0 || t == GateType::Const1) constants_.push_back(g);
+  }
   assignment_.assign(sources_.size(), Logic::X);
   for (GateId g : nl.outputs()) observe_[g] = 1;
   for (GateId ff : nl.storage()) observe_[nl.fanin(ff)[kStoragePinD]] = 1;
 }
 
-void Podem::simulate(const Fault& f) {
-  const Logic stuck = f.sa1 ? Logic::One : Logic::Zero;
-  for (std::size_t i = 0; i < sources_.size(); ++i) {
-    DVal v = to_dval(assignment_[i]);
-    if (f.pin < 0 && f.gate == sources_[i]) {
-      v = compose(assignment_[i], stuck);
-      if (!is_binary(assignment_[i])) v = DVal::X;
-    }
-    values_[sources_[i]] = v;
+DVal Podem::source_value(std::size_t si) const {
+  const Logic a = assignment_[si];
+  // compose() of an unassigned source is X, faulty or not.
+  return sources_[si] == fault_gate_ && fault_pin_ < 0 ? compose(a, stuck_)
+                                                       : to_dval(a);
+}
+
+DVal Podem::eval(GateId g) const {
+  const auto fin = cn_.fanin(g);
+  const DVal* v = values_.data();
+  if (g != fault_gate_) [[likely]] {
+    return eval_gate_dval_at(cn_.type(g), fin.size(),
+                             [&](std::size_t p) { return v[fin[p]]; });
   }
-  for (GateId g = 0; g < nl_->size(); ++g) {
-    if (nl_->type(g) == GateType::Const0) values_[g] = DVal::Zero;
-    if (nl_->type(g) == GateType::Const1) values_[g] = DVal::One;
+  // The faulted gate perceives the stuck value on its faulted pin.
+  const DVal out =
+      eval_gate_dval_at(cn_.type(g), fin.size(), [&](std::size_t p) {
+        return static_cast<int>(p) == fault_pin_
+                   ? compose(good_of(v[fin[p]]), stuck_)
+                   : v[fin[p]];
+      });
+  return fault_pin_ < 0 ? compose(good_of(out), stuck_) : out;
+}
+
+void Podem::set_value(GateId g, DVal v) {
+  const bool was_error = is_error(values_[g]);
+  values_[g] = v;
+  if (was_error == is_error(v)) return;
+  if (!was_error) {
+    error_slot_[g] = static_cast<std::uint32_t>(errors_.size());
+    errors_.push_back(g);
+    errors_observed_ += observe_[g];
+    return;
   }
-  for (GateId g : nl_->topo_order()) {
-    const auto& fin = nl_->fanin(g);
-    scratch_.clear();
-    for (std::size_t p = 0; p < fin.size(); ++p) {
-      DVal v = values_[fin[p]];
-      if (f.gate == g && f.pin == static_cast<int>(p) &&
-          !is_storage(nl_->type(g))) {
-        v = compose(good_of(v), stuck);
-      }
-      scratch_.push_back(v);
-    }
-    DVal out = eval_gate_dval(nl_->type(g), scratch_);
-    if (f.gate == g && f.pin < 0) out = compose(good_of(out), stuck);
-    values_[g] = out;
+  const std::uint32_t slot = error_slot_[g];
+  errors_[slot] = errors_.back();
+  error_slot_[errors_[slot]] = slot;
+  errors_.pop_back();
+  errors_observed_ -= observe_[g];
+}
+
+void Podem::schedule_fanouts(GateId g) {
+  for (GateId s : cn_.fanout(g)) {
+    if (queued_[s] || !is_combinational(cn_.type(s))) continue;
+    queued_[s] = 1;
+    const int lvl = cn_.level(s);
+    wheel_[static_cast<std::size_t>(lvl)].push_back(s);
+    wheel_lo_ = std::min(wheel_lo_, lvl);
+    wheel_hi_ = std::max(wheel_hi_, lvl);
   }
 }
 
+void Podem::full_pass(const Fault& f) {
+  for (int l = wheel_lo_; l <= wheel_hi_; ++l) {
+    for (GateId g : wheel_[static_cast<std::size_t>(l)]) queued_[g] = 0;
+    wheel_[static_cast<std::size_t>(l)].clear();
+  }
+  wheel_lo_ = static_cast<int>(wheel_.size());
+  wheel_hi_ = -1;
+
+  // Storage elements are sources, never evaluated, so a pin fault on one is
+  // not injected: fault_detected() reads its captured value directly.
+  fault_gate_ = f.gate;
+  fault_pin_ = f.pin;
+  stuck_ = f.sa1 ? Logic::One : Logic::Zero;
+  for (std::size_t i = 0; i < sources_.size(); ++i) {
+    set_value(sources_[i], source_value(i));
+  }
+  for (GateId g : constants_) {
+    const DVal c =
+        cn_.type(g) == GateType::Const1 ? DVal::One : DVal::Zero;
+    set_value(g, g == fault_gate_ ? compose(good_of(c), stuck_) : c);
+  }
+  for (GateId g : cn_.topo()) set_value(g, eval(g));
+  gate_evals_ += cn_.topo().size();
+}
+
+void Podem::assign(std::size_t si, Logic v) {
+  assignment_[si] = v;
+  const GateId g = sources_[si];
+  const DVal nv = source_value(si);
+  if (nv == values_[g]) return;
+  set_value(g, nv);
+  schedule_fanouts(g);
+}
+
+void Podem::propagate() {
+  // Fanouts sit at strictly higher levels, so wheel_hi_ can grow while the
+  // loop runs but never behind it.
+  for (int l = wheel_lo_; l <= wheel_hi_; ++l) {
+    auto& bucket = wheel_[static_cast<std::size_t>(l)];
+    for (GateId g : bucket) {
+      queued_[g] = 0;
+      const DVal v = eval(g);
+      if (v == values_[g]) continue;
+      set_value(g, v);
+      schedule_fanouts(g);
+    }
+    gate_evals_ += bucket.size();
+    bucket.clear();
+  }
+  wheel_lo_ = static_cast<int>(wheel_.size());
+  wheel_hi_ = -1;
+}
+
 bool Podem::fault_detected(const Fault& f) const {
-  if (is_storage(nl_->type(f.gate)) && f.pin == kStoragePinD) {
-    const GateId d = nl_->fanin(f.gate)[kStoragePinD];
+  if (is_storage(cn_.type(f.gate)) && f.pin == kStoragePinD) {
+    const GateId d = cn_.fanin(f.gate)[kStoragePinD];
     const Logic g = good_of(values_[d]);
     return is_binary(g) && g != (f.sa1 ? Logic::One : Logic::Zero);
   }
-  for (GateId g = 0; g < nl_->size(); ++g) {
-    if (observe_[g] && is_error(values_[g])) return true;
-  }
-  return false;
+  return errors_observed_ > 0;
 }
 
 bool Podem::excitation_impossible(const Fault& f) const {
   const Logic stuck = f.sa1 ? Logic::One : Logic::Zero;
   GateId site;
   if (f.pin >= 0) {
-    site = nl_->fanin(f.gate)[static_cast<std::size_t>(f.pin)];
+    site = cn_.fanin(f.gate)[static_cast<std::size_t>(f.pin)];
   } else {
     site = f.gate;
   }
@@ -90,39 +170,35 @@ bool Podem::excitation_impossible(const Fault& f) const {
 }
 
 bool Podem::x_path_exists(const Fault& f) const {
-  // BFS through X-valued gates from every D-frontier gate (or from any
+  // DFS through X-valued gates from every D-frontier gate (or from any
   // error-valued gate, which covers the fault site) to an observation point.
-  std::vector<GateId> frontier;
+  if (errors_observed_ > 0) return true;
+  if (++epoch_ == 0) {  // wrapped: forget every stale stamp
+    std::fill(seen_.begin(), seen_.end(), 0);
+    epoch_ = 1;
+  }
+  std::vector<GateId>& frontier = xpath_stack_;
+  frontier.clear();
+  const auto push_x = [&](GateId s) {
+    if (seen_[s] != epoch_ && values_[s] == DVal::X &&
+        is_combinational(cn_.type(s))) {
+      frontier.push_back(s);
+    }
+  };
   // An excited input-pin fault whose gate output is still X is itself the
   // first frontier gate: the error lives on the composed pin, which is not
   // visible in values_.
-  if (f.pin >= 0 && !is_storage(nl_->type(f.gate)) &&
-      values_[f.gate] == DVal::X) {
-    frontier.push_back(f.gate);
+  if (f.pin >= 0) push_x(f.gate);
+  for (GateId g : errors_) {
+    for (GateId s : cn_.fanout(g)) push_x(s);
   }
-  for (GateId g = 0; g < nl_->size(); ++g) {
-    if (is_error(values_[g])) {
-      if (observe_[g]) return true;
-      for (GateId s : nl_->fanout(g)) {
-        if (values_[s] == DVal::X && is_combinational(nl_->type(s))) {
-          frontier.push_back(s);
-        }
-      }
-    }
-  }
-  std::vector<char> seen(nl_->size(), 0);
   while (!frontier.empty()) {
     const GateId g = frontier.back();
     frontier.pop_back();
-    if (seen[g]) continue;
-    seen[g] = 1;
+    if (seen_[g] == epoch_) continue;
+    seen_[g] = epoch_;
     if (observe_[g]) return true;
-    for (GateId s : nl_->fanout(g)) {
-      if (!seen[s] && values_[s] == DVal::X &&
-          is_combinational(nl_->type(s))) {
-        frontier.push_back(s);
-      }
-    }
+    for (GateId s : cn_.fanout(g)) push_x(s);
   }
   return false;
 }
@@ -133,7 +209,7 @@ bool Podem::objective(const Fault& f, GateId& net, Logic& value) const {
   // Phase 1: excite the fault.
   GateId site;
   if (f.pin >= 0) {
-    site = nl_->fanin(f.gate)[static_cast<std::size_t>(f.pin)];
+    site = cn_.fanin(f.gate)[static_cast<std::size_t>(f.pin)];
   } else {
     site = f.gate;
   }
@@ -149,7 +225,7 @@ bool Podem::objective(const Fault& f, GateId& net, Logic& value) const {
   }
 
   // Storage D-pin faults are detected at excitation; nothing to propagate.
-  if (is_storage(nl_->type(f.gate)) && f.pin == kStoragePinD) return false;
+  if (is_storage(cn_.type(f.gate)) && f.pin == kStoragePinD) return false;
 
   if (!x_path_exists(f)) return false;
 
@@ -157,7 +233,7 @@ bool Podem::objective(const Fault& f, GateId& net, Logic& value) const {
   // stuck value on the faulted pin).
   const Logic stuck_l = stuck;
   auto pin_val = [&](GateId g, std::size_t p) {
-    DVal v = values_[nl_->fanin(g)[p]];
+    DVal v = values_[cn_.fanin(g)[p]];
     if (g == f.gate && f.pin == static_cast<int>(p)) {
       v = compose(good_of(v), stuck_l);
     }
@@ -165,24 +241,31 @@ bool Podem::objective(const Fault& f, GateId& net, Logic& value) const {
   };
 
   // Phase 2: propagate -- pick the D-frontier gate closest to an
-  // observation point.
+  // observation point (lowest CO, lowest id on a tie). A frontier gate has
+  // an error on some pin, so it is a fanout of an error gate or, for a pin
+  // fault, the faulted gate itself.
   GateId best = kNoGate;
-  for (GateId g = 0; g < nl_->size(); ++g) {
-    if (values_[g] != DVal::X || !is_combinational(nl_->type(g))) continue;
-    bool has_error_input = false;
-    for (std::size_t p = 0; p < nl_->fanin(g).size(); ++p) {
+  const auto consider = [&](GateId g) {
+    if (values_[g] != DVal::X || !is_combinational(cn_.type(g))) return;
+    if (best != kNoGate && (scoap_.co[g] > scoap_.co[best] ||
+                            (scoap_.co[g] == scoap_.co[best] && g >= best))) {
+      return;
+    }
+    for (std::size_t p = 0; p < cn_.fanin(g).size(); ++p) {
       if (is_error(pin_val(g, p))) {
-        has_error_input = true;
-        break;
+        best = g;
+        return;
       }
     }
-    if (!has_error_input) continue;
-    if (best == kNoGate || scoap_.co[g] < scoap_.co[best]) best = g;
+  };
+  if (f.pin >= 0) consider(f.gate);
+  for (GateId g : errors_) {
+    for (GateId s : cn_.fanout(g)) consider(s);
   }
   if (best == kNoGate) return false;
 
-  const auto& fin = nl_->fanin(best);
-  const GateType t = nl_->type(best);
+  const auto fin = cn_.fanin(best);
+  const GateType t = cn_.type(best);
   Logic c;
   if (controlling_value(t, c)) {
     for (std::size_t p = 0; p < fin.size(); ++p) {
@@ -247,7 +330,7 @@ bool Podem::objective(const Fault& f, GateId& net, Logic& value) const {
 
 bool Podem::backtrace(GateId net, Logic value, std::size_t& source_index,
                       bool& set_to_one) const {
-  int guard = static_cast<int>(nl_->size()) + 8;
+  int guard = static_cast<int>(cn_.size()) + 8;
   while (guard-- > 0) {
     if (source_index_of_[net] >= 0) {
       if (assignment_[static_cast<std::size_t>(source_index_of_[net])] !=
@@ -258,8 +341,8 @@ bool Podem::backtrace(GateId net, Logic value, std::size_t& source_index,
       set_to_one = value == Logic::One;
       return true;
     }
-    const GateType t = nl_->type(net);
-    const auto& fin = nl_->fanin(net);
+    const GateType t = cn_.type(net);
+    const auto fin = cn_.fanin(net);
     if (fin.empty()) return false;  // constants cannot be justified
 
     Logic target = inverts(t) ? negate(value) : value;
@@ -332,7 +415,7 @@ namespace {
 
 // One bulk registry flush per generate() call; the search loop itself only
 // touches the outcome's plain counters.
-void flush_podem_obs(const AtpgOutcome& out) {
+void flush_podem_obs(const AtpgOutcome& out, std::uint64_t gate_evals) {
   if (!obs::enabled()) return;
   obs::Registry& reg = obs::Registry::global();
   reg.counter("podem.calls").add(1);
@@ -341,6 +424,7 @@ void flush_podem_obs(const AtpgOutcome& out) {
       .add(static_cast<std::uint64_t>(out.backtracks));
   reg.counter("podem.implications")
       .add(static_cast<std::uint64_t>(out.implications));
+  reg.counter("podem.gate_evals").add(gate_evals);
   switch (out.status) {
     case AtpgStatus::TestFound: reg.counter("podem.tests_found").add(1); break;
     case AtpgStatus::Redundant: reg.counter("podem.redundant").add(1); break;
@@ -352,6 +436,8 @@ void flush_podem_obs(const AtpgOutcome& out) {
 
 AtpgOutcome Podem::generate(const Fault& fault) {
   std::fill(assignment_.begin(), assignment_.end(), Logic::X);
+  gate_evals_ = 0;
+  full_pass(fault);
   std::vector<Decision> stack;
   AtpgOutcome out;
   if (obs::enabled()) {
@@ -363,7 +449,7 @@ AtpgOutcome Podem::generate(const Fault& fault) {
   const bool guarded = budget_ != nullptr && budget_->limited();
   std::uint64_t charged = 0;
   for (;;) {
-    simulate(fault);
+    propagate();
     ++out.implications;
     // Progress on the same 32-pass stride as the budget poll below: one
     // relaxed load when the sink is off. Coverage is unknown inside a
@@ -379,9 +465,10 @@ AtpgOutcome Podem::generate(const Fault& fault) {
       }
       obs::ProgressSink::global().maybe_emit(prog);
     }
-    // Budget poll every 32 implication passes: each pass is a full-netlist
-    // simulation, so the stride keeps poll overhead invisible while still
-    // bounding overshoot to ~32 simulations past the deadline.
+    // Budget poll every 32 implication passes. A pass is one decision's
+    // event-driven implication, anywhere from a few gates to the whole
+    // output cone, so the stride keeps poll overhead invisible while still
+    // bounding overshoot to 32 implications past the deadline.
     if (guarded && (out.implications & 31) == 0) {
       const auto total =
           static_cast<std::uint64_t>(out.decisions + out.backtracks);
@@ -391,14 +478,14 @@ AtpgOutcome Podem::generate(const Fault& fault) {
       if (st != guard::RunStatus::Completed) {
         out.status = AtpgStatus::Aborted;
         out.run_status = st;
-        flush_podem_obs(out);
+        flush_podem_obs(out, gate_evals_);
         return out;
       }
     }
     if (fault_detected(fault)) {
       out.status = AtpgStatus::TestFound;
       out.pattern = assignment_;
-      flush_podem_obs(out);
+      flush_podem_obs(out, gate_evals_);
       return out;
     }
     bool need_backtrack = excitation_impossible(fault);
@@ -412,7 +499,7 @@ AtpgOutcome Podem::generate(const Fault& fault) {
       bool one = false;
       if (backtrace(net, value, si, one)) {
         stack.push_back({si, false});
-        assignment_[si] = one ? Logic::One : Logic::Zero;
+        assign(si, one ? Logic::One : Logic::Zero);
         ++out.decisions;
         continue;
       }
@@ -422,23 +509,23 @@ AtpgOutcome Podem::generate(const Fault& fault) {
     for (;;) {
       if (stack.empty()) {
         out.status = AtpgStatus::Redundant;
-        flush_podem_obs(out);
+        flush_podem_obs(out, gate_evals_);
         return out;
       }
       Decision& d = stack.back();
       if (!d.tried_both) {
         d.tried_both = true;
-        assignment_[d.source_index] =
-            assignment_[d.source_index] == Logic::One ? Logic::Zero
-                                                      : Logic::One;
+        assign(d.source_index, assignment_[d.source_index] == Logic::One
+                                   ? Logic::Zero
+                                   : Logic::One);
         if (++out.backtracks > backtrack_limit_) {
           out.status = AtpgStatus::Aborted;
-          flush_podem_obs(out);
+          flush_podem_obs(out, gate_evals_);
           return out;
         }
         break;
       }
-      assignment_[d.source_index] = Logic::X;
+      assign(d.source_index, Logic::X);
       stack.pop_back();
     }
   }

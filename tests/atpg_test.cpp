@@ -7,7 +7,11 @@
 //   * PODEM and the D-algorithm agree on testability.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "atpg/compact.h"
 #include "atpg/d_algorithm.h"
@@ -20,6 +24,8 @@
 #include "circuits/sequential.h"
 #include "circuits/sn74181.h"
 #include "netlist/bench_io.h"
+#include "scan/scan_insert.h"
+#include "sim/eval.h"
 
 namespace dft {
 namespace {
@@ -57,6 +63,55 @@ TEST(DValue, AndOrTables) {
   EXPECT_EQ(dval_xor(DVal::D, DVal::D), DVal::Zero);
   EXPECT_EQ(dval_xor(DVal::D, DVal::One), DVal::Dbar);
   EXPECT_EQ(dval_and(DVal::D, DVal::X), DVal::X);
+}
+
+TEST(DValue, DualRailFoldMatchesPerMachineEvaluation) {
+  // Every combinational gate type, every legal fan-in 1..4 and all 5^n
+  // input combinations: the dual-rail fold must equal evaluating the good
+  // and the faulty machine separately.
+  using G = GateType;
+  const DVal kAll[] = {DVal::Zero, DVal::One, DVal::X, DVal::D, DVal::Dbar};
+  int checked = 0;
+  for (G t : {G::Output, G::Buf, G::Not, G::And, G::Nand, G::Or, G::Nor,
+              G::Xor, G::Xnor, G::Mux, G::Tristate, G::Bus}) {
+    const FaninArity arity = fanin_arity(t);
+    for (int n = std::max(1, arity.min);
+         n <= (arity.max < 0 ? 4 : std::min(4, arity.max)); ++n) {
+      int combos = 1;
+      for (int i = 0; i < n; ++i) combos *= 5;
+      for (int code = 0; code < combos; ++code) {
+        std::vector<DVal> in;
+        std::vector<Logic> goods, faultys;
+        for (int i = 0, c = code; i < n; ++i, c /= 5) {
+          in.push_back(kAll[c % 5]);
+          goods.push_back(good_of(in.back()));
+          faultys.push_back(faulty_of(in.back()));
+        }
+        // Tri-state drivers and buses follow the pull-down model of the
+        // two-valued simulators in each machine: data AND enable, and the
+        // OR of the drivers.
+        const auto eval_machine = [&](const std::vector<Logic>& v) {
+          if (t == G::Tristate) {
+            return logic_and(v[kTristatePinData], v[kTristatePinEnable]);
+          }
+          if (t == G::Bus) {
+            Logic r = Logic::Zero;
+            for (Logic l : v) r = logic_or(r, l);
+            return r;
+          }
+          return eval_gate(t, v);
+        };
+        const DVal want = compose(eval_machine(goods), eval_machine(faultys));
+        std::string pins;
+        for (DVal d : in) pins += to_char(d);
+        ASSERT_EQ(eval_gate_dval(t, in), want)
+            << gate_type_name(t) << "(" << pins << ")";
+        ++checked;
+      }
+    }
+  }
+  // 3 one-pin types, 7 variadic types over n = 1..4, Mux, Tristate.
+  EXPECT_EQ(checked, 3 * 5 + 7 * (5 + 25 + 125 + 625) + 125 + 25);
 }
 
 TEST(Podem, FindsTheFig1Test) {
@@ -369,6 +424,164 @@ TEST(Engine, CompactionShrinksTestSet) {
   EXPECT_LE(a.tests.size(), b.tests.size());
   EXPECT_DOUBLE_EQ(a.test_coverage(), 1.0);
   EXPECT_DOUBLE_EQ(b.test_coverage(), 1.0);
+}
+
+TEST(Podem, VerdictMatchesBruteForceOnBuiltinsWithConstants) {
+  // cmp4 seeds its ripple with constant gates and mul3 ties off a partial
+  // product with one; stuck-at faults on those constants are detectable and
+  // must not be proven redundant.
+  for (const Netlist& nl : {make_comparator(4), make_array_multiplier(3)}) {
+    Podem podem(nl, 1000000);
+    SerialFaultSimulator fsim(nl);
+    std::mt19937_64 rng(17);
+    for (const Fault& f : collapse_faults(nl).representatives) {
+      const AtpgOutcome out = podem.generate(f);
+      ASSERT_NE(out.status, AtpgStatus::Aborted) << fault_name(nl, f);
+      EXPECT_EQ(out.status == AtpgStatus::TestFound,
+                exhaustively_testable(nl, f))
+          << nl.name() << " " << fault_name(nl, f);
+      if (out.status == AtpgStatus::TestFound) {
+        SourceVector pat = out.pattern;
+        random_fill(pat, rng);
+        EXPECT_TRUE(fsim.detects(pat, f)) << fault_name(nl, f);
+      }
+    }
+  }
+}
+
+// A random DAG over the gates that produce or resolve Z -- Mux, Tristate
+// and Bus -- mixed with basic gates and constant drivers.
+Netlist make_random_bus_circuit(std::uint64_t seed) {
+  using G = GateType;
+  const G kSimple[] = {G::Buf, G::Not, G::And, G::Nand, G::Or,
+                       G::Nor, G::Xor, G::Xnor, G::Mux};
+  std::mt19937_64 rng(seed);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  Netlist nl("rand_bus");
+  std::vector<GateId> nets;
+  for (int i = 0; i < 10; ++i) nets.push_back(nl.add_input());
+  nets.push_back(nl.add_gate(G::Const0, {}));
+  nets.push_back(nl.add_gate(G::Const1, {}));
+  for (int i = 0; i < 80; ++i) {
+    if (pick(6) == 0) {  // a tri-state bus with 1..3 drivers
+      std::vector<GateId> drivers;
+      for (std::size_t d = 0, k = 1 + pick(3); d < k; ++d) {
+        drivers.push_back(nl.add_gate(
+            G::Tristate, {nets[pick(nets.size())], nets[pick(nets.size())]}));
+      }
+      nets.push_back(nl.add_gate(G::Bus, drivers));
+      continue;
+    }
+    const G t = kSimple[pick(std::size(kSimple))];
+    const FaninArity arity = fanin_arity(t);
+    const std::size_t n =
+        arity.max < 0 ? 1 + pick(4) : static_cast<std::size_t>(arity.max);
+    std::vector<GateId> fin;
+    for (std::size_t k = 0; k < n; ++k) fin.push_back(nets[pick(nets.size())]);
+    nets.push_back(nl.add_gate(t, fin));
+  }
+  for (int i = 0; i < 8; ++i) nl.add_output(nets[nets.size() - 1 - pick(30)]);
+  return nl;
+}
+
+std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFF;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// One digest of a whole PODEM run: for every collapsed fault, in order, the
+// fault, its status, its cube and its decision/backtrack/implication counts.
+// Output faults on constant gates are left out: their verdicts were fixed
+// on purpose (see VerdictMatchesBruteForceOnBuiltinsWithConstants).
+std::uint64_t podem_search_digest(const Netlist& nl, int backtrack_limit) {
+  Podem podem(nl, backtrack_limit);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Fault& f : collapse_faults(nl).representatives) {
+    const GateType t = nl.type(f.gate);
+    if (t == GateType::Const0 || t == GateType::Const1) continue;
+    const AtpgOutcome out = podem.generate(f);
+    h = fnv1a_mix(h, f.gate);
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(f.pin + 1));
+    h = fnv1a_mix(h, f.sa1 ? 1 : 0);
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(out.status));
+    for (Logic v : out.pattern) h = fnv1a_mix(h, static_cast<std::uint64_t>(v));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(out.decisions));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(out.backtracks));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(out.implications));
+  }
+  return h;
+}
+
+TEST(Podem, SearchMatchesPinnedDigests) {
+  // Implication is an optimisation, never a change of search: every
+  // decision, backtrack, implication count and cube must match the digests
+  // recorded from the full-netlist reference implementation.
+  std::vector<std::pair<std::string, Netlist>> corpus;
+  corpus.emplace_back("c17", make_c17());
+  corpus.emplace_back("adder4", make_ripple_adder(4));
+  corpus.emplace_back("adder8", make_ripple_adder(8));
+  corpus.emplace_back("mult3", make_array_multiplier(3));
+  corpus.emplace_back("dec3", make_decoder(3));
+  corpus.emplace_back("parity8", make_parity_tree(8));
+  corpus.emplace_back("mux3", make_mux_tree(3));
+  corpus.emplace_back("cmp4", make_comparator(4));
+  corpus.emplace_back("sn74181", make_sn74181());
+  corpus.emplace_back("counter8", make_counter(8));
+  corpus.emplace_back("accum4", make_accumulator(4));
+  Netlist scanned = make_counter(8);
+  insert_scan(scanned, ScanStyle::ScanPath);
+  corpus.emplace_back("counter8+scan", std::move(scanned));
+  for (std::uint64_t seed : {21ull, 22ull, 23ull, 24ull}) {
+    RandomCircuitSpec spec;
+    spec.num_inputs = 16;
+    spec.num_outputs = 8;
+    spec.num_gates = 200;
+    spec.seed = seed;
+    corpus.emplace_back("rand200_" + std::to_string(seed),
+                        make_random_combinational(spec));
+  }
+  corpus.emplace_back("rand_bus", make_random_bus_circuit(5));
+
+  struct Pinned {
+    const char* name;
+    std::uint64_t limit100;
+    std::uint64_t limit20000;
+  };
+  const Pinned kPinned[] = {
+      {"c17", 0xf2fa916a24717763, 0xf2fa916a24717763},
+      {"adder4", 0xa858219b2e48dd24, 0xa858219b2e48dd24},
+      {"adder8", 0x5e034af083ae5124, 0x5e034af083ae5124},
+      {"mult3", 0x43a146188192b0e2, 0x43a146188192b0e2},
+      {"dec3", 0xa0f4ae016cf21c45, 0xa0f4ae016cf21c45},
+      {"parity8", 0xe38589922815f6c5, 0xe38589922815f6c5},
+      {"mux3", 0x7af5c5a505e93005, 0x7af5c5a505e93005},
+      {"cmp4", 0xfa7f077f6a60ab69, 0xfa7f077f6a60ab69},
+      {"sn74181", 0xdc660d6a87b00542, 0xdc660d6a87b00542},
+      {"counter8", 0xaafea63c4285fd2b, 0xaafea63c4285fd2b},
+      {"accum4", 0x9fba552580c292d4, 0x9fba552580c292d4},
+      {"counter8+scan", 0xa49808b363876c4a, 0xa49808b363876c4a},
+      {"rand200_21", 0x13d330a39010bd79, 0xb86c4033edd92ba4},
+      {"rand200_22", 0xd7baefb2ee7ef4d3, 0x13c08b25547fd05b},
+      {"rand200_23", 0xa2f49e5a8a4000c9, 0x4b74c9c4303a1c93},
+      {"rand200_24", 0xe3cdb362736021fa, 0x2a6dba360ec853a9},
+      {"rand_bus", 0xd55f4d294d1b8b32, 0xd55f4d294d1b8b32},
+  };
+  ASSERT_EQ(std::size(kPinned), corpus.size());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const auto& [name, nl] = corpus[i];
+    ASSERT_EQ(name, kPinned[i].name);
+    const std::uint64_t d100 = podem_search_digest(nl, 100);
+    const std::uint64_t d20000 = podem_search_digest(nl, 20000);
+    EXPECT_EQ(d100, kPinned[i].limit100) << name << " @100: 0x" << std::hex
+                                         << d100;
+    EXPECT_EQ(d20000, kPinned[i].limit20000)
+        << name << " @20000: 0x" << std::hex << d20000;
+  }
 }
 
 }  // namespace
