@@ -19,7 +19,7 @@
 // Full (non-smoke) rows are the minimum of two timed runs. The kernel's obs
 // counters (events scheduled, gates evaluated, frontier-death depth
 // histogram) are printed per circuit, and full mode adds a 1/2/4/8-thread
-// scaling table with the decomposition each run chose.
+// scaling table.
 //
 // Regression gate: in full mode the largest circuit's threaded run must
 // not be slower than its single-threaded run (the multi-threaded scaling
@@ -151,19 +151,17 @@ CircuitTimes run_circuit(const Netlist& nl, const std::string& tag,
   out.t_mt = t_evt_mt;
   out.ok = true;
   std::printf("      event x1  %8.3fs   event x%-2d %8.3fs   -> %5.2fx  "
-              "(%d detected, %s)\n",
+              "(%d detected)\n",
               t_evt, evt_mt.threads(), t_evt_mt,
-              t_evt / std::max(1e-9, t_evt_mt), re.num_detected,
-              std::string(to_string(evt_mt.last_decomposition())).c_str());
+              t_evt / std::max(1e-9, t_evt_mt), re.num_detected);
   // "_s" suffix keeps the value names distinct from the timers of the same
   // rows (one obs name cannot be both kinds).
   bench::report_value("event_kernel." + tag + ".event_1t_s", t_evt);
   bench::report_value("event_kernel." + tag + ".event_mt_s", t_evt_mt);
 
   if (scaling) {
-    // Event-kernel thread scaling: Auto decomposition, so the row shows
-    // what production callers get (including the sequential fallback on
-    // small workloads or core-starved machines).
+    // Event-kernel thread scaling through the engine production callers
+    // get; a pool wider than the host's cores runs on that many workers.
     std::printf("      event scaling:");
     for (const int t : {1, 2, 4, 8}) {
       ThreadedFaultSimulator e(nl, t);
@@ -180,8 +178,7 @@ CircuitTimes run_circuit(const Netlist& nl, const std::string& tag,
         out.ok = false;
         return out;
       }
-      std::printf("  x%d %7.3fs (%s)", t, sec,
-                  std::string(to_string(e.last_decomposition())).c_str());
+      std::printf("  x%d %7.3fs", t, sec);
       bench::report_value(
           "event_kernel." + tag + ".scale_t" + std::to_string(t), sec);
     }
@@ -394,15 +391,15 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n  expected shape: threads never slower than one thread\n"
-              "  (tiny workloads fall back to sequential), and the widest\n"
-              "  pattern word at least matching the 64-bit scalar.\n");
+              "  on the large circuits, and the widest pattern word at\n"
+              "  least matching the 64-bit scalar.\n");
   if (!bench::emit_report(args, "bench_event_kernel",
                           {{"smoke", smoke ? "1" : "0"}})) {
     return 1;
   }
-  // The inversion gate: with the pattern-block decomposition (and the
-  // sequential fallback where parallelism cannot win) the threaded run must
-  // never be slower than the single-threaded one on the largest circuit.
+  // The inversion gate: blocks in order with every worker stealing 64-fault
+  // chunks, the threaded run must never be slower than the single-threaded
+  // one on the largest circuit.
   // Smoke rows are micro-second scale and too noisy to gate here; ctest
   // gates the fresh smoke artifact at a noise tolerance and the committed
   // full-run artifact exactly.

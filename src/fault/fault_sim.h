@@ -16,9 +16,10 @@
 //  * DeductiveFaultSimulator (deductive.h) -- Armstrong-style fault-list
 //    propagation, the independent cross-check.
 //  * BasicThreadedFaultSimulator<EB> (threaded_fault_sim.h) -- the
-//    multi-threaded engine: one PPSFP machine per worker, pattern-block or
-//    fault-chunk decomposition with an earliest-pattern-wins merge,
-//    bit-identical results at any thread count and any word width.
+//    multi-threaded engine: one PPSFP machine per worker. Blocks run in
+//    order; within a block the workers share the fault list in 64-fault
+//    chunks. Results and work counts are the single machine's at any
+//    thread count and any word width.
 //
 // All use the combinational test model: primary inputs and storage outputs
 // are controllable (pseudo primary inputs), primary outputs and storage D
@@ -27,7 +28,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -92,8 +92,11 @@ struct FaultSimResult {
 //  * `budget` (optional) is polled cooperatively after each unit of work
 //    (a pattern block / fault / pattern, depending on the engine); on
 //    exhaustion or cancellation the engine returns the partial result with
-//    `status` set. nullptr or an unlimited budget leaves behavior -- and
-//    results -- exactly as before.
+//    `status` set. The PPSFP engines (single-machine and threaded) stop at
+//    a block boundary, so a partial entry equals the full run's entry when
+//    that lies inside the charged pattern prefix and is -1 otherwise.
+//    nullptr or an unlimited budget leaves behavior -- and results --
+//    exactly as before.
 class FaultSimEngine {
  public:
   virtual ~FaultSimEngine() = default;
@@ -151,8 +154,8 @@ void record_final_coverage(const FaultSimResult& res);
 // 64-pattern bucket, x = index of the bucket's last pattern applied (capped
 // by num_patterns), y = cumulative percent of faults first-detected at or
 // before x. Derived post-hoc from first_detected_by, so it is exact under
-// every engine, thread count, and pattern-word width (earliest-pattern-wins
-// keeps first_detected_by width-invariant; the fixed 64-pattern bucket
+// every engine, thread count, and pattern-word width (first_detected_by
+// holds global pattern indices at every width; the fixed 64-pattern bucket
 // keeps curves comparable across lanes). Replaces any previous points under
 // the same name.
 void record_coverage_curve(std::string_view name,
@@ -212,12 +215,11 @@ class BasicParallelFaultSimulator : public FaultSimEngine {
   void set_observation_points(const std::vector<GateId>& observed);
   void reset_observation_points();
 
-  // --- Block-scoped entry points (the threaded engine's decomposition) -----
+  // --- Block-scoped entry points (the threaded engine's schedule) ---------
   //
   // run() above is a loop over pattern-word blocks; these expose one block
-  // at a time so the threaded engine can parallelize across blocks (each
-  // worker machine loads its own) or across faults within a block (one
-  // machine loads, siblings adopt_block_from() the result). Precondition:
+  // at a time so the threaded engine can split a block's fault list across
+  // worker machines, each of which loads the block itself. Precondition:
   // the pattern set has already passed validate_patterns(require_binary) --
   // the threaded engine validates once up front, before any machine is
   // touched.
@@ -228,33 +230,22 @@ class BasicParallelFaultSimulator : public FaultSimEngine {
   void load_block(const std::vector<SourceVector>& patterns, std::size_t base,
                   std::size_t count);
 
-  // Copies `other`'s loaded block -- good-machine words plus the block
-  // window -- instead of re-simulating it. Both machines must share the
-  // same compiled snapshot.
-  void adopt_block_from(const BasicParallelFaultSimulator& other);
-
-  // Simulates faults[begin, end) against the loaded block. A detection at
-  // in-block bit b lowers shared_first[fault index] to base + b with a
-  // CAS-min, so concurrent blocks merge earliest-pattern-wins. Merge keys
-  // are global PATTERN indices at every word width, which is what keeps
-  // results bit-identical across lanes. With drop_detected, a fault is
-  // skipped only when its shared entry already holds a detection from a
-  // STRICTLY earlier block -- a same-or-later entry could still be beaten
-  // by a bit in this block, so skipping then would change the result.
-  // Returns the number of faults actually simulated (skips excluded).
-  // `new_detections` (optional) is incremented once per fault whose shared
-  // entry left the INT32_MAX "undetected" sentinel under this call's CAS --
-  // a live coverage numerator for the threaded engine's progress events.
+  // Simulates faults[begin, end) against the loaded block. For a fault whose
+  // entry first[fi] is still -1, a detection at in-block bit b writes the
+  // global pattern index base + b there and increments `detected`. Blocks
+  // must run in pattern order, so the first write is the earliest
+  // detection at every word width. With drop_detected, a fault whose entry
+  // is already set is skipped. Returns the number of faults actually
+  // simulated (skips excluded).
   std::size_t run_block_faults(const std::vector<Fault>& faults,
                                std::size_t begin, std::size_t end,
-                               bool drop_detected,
-                               std::atomic<std::int32_t>* shared_first,
-                               std::atomic<std::uint64_t>* new_detections =
-                                   nullptr);
+                               bool drop_detected, int* first,
+                               std::size_t& detected);
 
   // Flushes tallies accumulated by the block-scoped calls into dft::obs
-  // (fault_sim.ppsfp.* / fault_sim.event.*). Called by the merging thread
-  // after the pool barrier, never concurrently with the calls above.
+  // (fault_sim.ppsfp.* / fault_sim.event.*), or drops them with obs off.
+  // Called by the driving thread after the pool barrier, never concurrently
+  // with the calls above.
   void flush_block_obs();
 
  private:
@@ -279,12 +270,11 @@ class BasicParallelFaultSimulator : public FaultSimEngine {
   };
   EventStats event_stats_;
 
-  // Block-scoped state: the window load_block/adopt_block_from installed...
+  // Block-scoped state: the window load_block installed...
   std::size_t block_base_ = 0;
   Word block_valid_ = Traits::zeros();
   // ...and the tallies the block-scoped calls accumulate until
-  // flush_block_obs() (run() keeps its own local tallies, as before).
-  std::uint64_t tally_blocks_ = 0;
+  // flush_block_obs() (run() keeps its own local tallies).
   std::uint64_t tally_faults_ = 0;
   std::uint64_t tally_dropped_ = 0;
   // events_scheduled() watermark at the last obs flush, so run() and the

@@ -5,9 +5,7 @@
 #pragma once
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
-#include <limits>
 #include <utility>
 
 #include "fault/fault_sim.h"
@@ -108,12 +106,6 @@ FaultSimResult BasicParallelFaultSimulator<EB>::run(
   // middle of a block must not leave the simulator half-mutated.
   validate_patterns(*nl_, patterns, /*require_binary=*/true);
   const bool guarded = budget != nullptr && budget->limited();
-
-  // Block-scoped calls since the last flush would otherwise bleed into this
-  // run's deltas.
-  if (tally_blocks_ != 0 || tally_faults_ != 0 || tally_dropped_ != 0) {
-    flush_block_obs();
-  }
 
   FaultSimResult res;
   res.first_detected_by.assign(faults.size(), -1);
@@ -223,7 +215,7 @@ void BasicParallelFaultSimulator<EB>::flush_event_obs() {
   event_stats_ = EventStats{};
 }
 
-// --- Block-scoped entry points (threaded decomposition) --------------------
+// --- Block-scoped entry points (threaded schedule) -------------------------
 
 template <typename EB>
 void BasicParallelFaultSimulator<EB>::load_block(
@@ -232,56 +224,24 @@ void BasicParallelFaultSimulator<EB>::load_block(
   load_words(patterns, base, count);
   block_base_ = base;
   block_valid_ = Traits::prefix_mask(count);
-  ++tally_blocks_;
-}
-
-template <typename EB>
-void BasicParallelFaultSimulator<EB>::adopt_block_from(
-    const BasicParallelFaultSimulator& other) {
-  assert(nl_ == other.nl_);
-  ev_.copy_good_from(other.ev_);
-  block_base_ = other.block_base_;
-  block_valid_ = other.block_valid_;
 }
 
 template <typename EB>
 std::size_t BasicParallelFaultSimulator<EB>::run_block_faults(
     const std::vector<Fault>& faults, std::size_t begin, std::size_t end,
-    bool drop_detected, std::atomic<std::int32_t>* shared_first,
-    std::atomic<std::uint64_t>* new_detections) {
-  const std::int32_t base = static_cast<std::int32_t>(block_base_);
-  constexpr std::int32_t kUndetected =
-      std::numeric_limits<std::int32_t>::max();
+    bool drop_detected, int* first, std::size_t& detected) {
+  const int base = static_cast<int>(block_base_);
   std::size_t simulated = 0;
   for (std::size_t fi = begin; fi < end; ++fi) {
-    // Soundness of the drop: an entry below `base` is a detection at a
-    // strictly earlier pattern than anything this block could contribute,
-    // so the serial first detection cannot be in this block. An entry at or
-    // past `base` (some concurrently-simulated later block won the race
-    // first) must still be simulated -- this block might hold an earlier
-    // bit -- and the CAS-min below restores the global minimum. Relaxed
-    // ordering suffices: any value read is a real detection index, and the
-    // final merge happens after the pool barrier.
-    if (drop_detected &&
-        shared_first[fi].load(std::memory_order_relaxed) < base) {
+    if (drop_detected && first[fi] >= 0) {
       ++tally_dropped_;
       continue;
     }
     ++simulated;
     const Word det = detect_word(faults[fi]) & block_valid_;
-    if (!Traits::any(det)) continue;
-    const std::int32_t at = base + Traits::first_set(det);
-    std::int32_t cur = shared_first[fi].load(std::memory_order_relaxed);
-    while (at < cur) {
-      if (shared_first[fi].compare_exchange_weak(cur, at,
-                                                 std::memory_order_relaxed)) {
-        // Exactly one CAS ever replaces the sentinel, so the count is a
-        // race-free detected-fault total (not a per-pattern tally).
-        if (cur == kUndetected && new_detections != nullptr) {
-          new_detections->fetch_add(1, std::memory_order_relaxed);
-        }
-        break;
-      }
+    if (first[fi] < 0 && Traits::any(det)) {
+      first[fi] = base + Traits::first_set(det);
+      ++detected;
     }
   }
   tally_faults_ += simulated;
@@ -290,18 +250,16 @@ std::size_t BasicParallelFaultSimulator<EB>::run_block_faults(
 
 template <typename EB>
 void BasicParallelFaultSimulator<EB>::flush_block_obs() {
-  if (!obs::enabled()) {
-    tally_blocks_ = tally_faults_ = tally_dropped_ = 0;
+  if (obs::enabled()) {
+    obs::Registry& reg = obs::Registry::global();
+    reg.counter("fault_sim.ppsfp.faults_simulated").add(tally_faults_);
+    reg.counter("fault_sim.ppsfp.faults_dropped").add(tally_dropped_);
+    flush_event_obs();
+  } else {
     event_stats_ = EventStats{};
     events_flushed_ = ev_.events_scheduled();
-    return;
   }
-  obs::Registry& reg = obs::Registry::global();
-  reg.counter("fault_sim.ppsfp.pattern_blocks").add(tally_blocks_);
-  reg.counter("fault_sim.ppsfp.faults_simulated").add(tally_faults_);
-  reg.counter("fault_sim.ppsfp.faults_dropped").add(tally_dropped_);
-  tally_blocks_ = tally_faults_ = tally_dropped_ = 0;
-  flush_event_obs();
+  tally_faults_ = tally_dropped_ = 0;
 }
 
 }  // namespace dft

@@ -8,20 +8,6 @@
 
 namespace dft {
 
-std::string_view to_string(MtDecomposition d) {
-  switch (d) {
-    case MtDecomposition::Auto:
-      return "auto";
-    case MtDecomposition::Sequential:
-      return "sequential";
-    case MtDecomposition::PatternBlock:
-      return "pattern_block";
-    case MtDecomposition::FaultChunk:
-      return "fault_chunk";
-  }
-  return "?";
-}
-
 // The classic 64-pattern engine, compiled once here so the header's extern
 // template keeps every consumer TU from re-instantiating it (wide lanes
 // compile in simd_lanes.cpp).

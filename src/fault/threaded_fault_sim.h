@@ -2,29 +2,30 @@
 //
 // The survey's Eq. 1 (T = K*N^3) makes fault simulation the inner-loop cost
 // of everything downstream -- ATPG dropping, random-TPG grading, BIST
-// coverage measurement. The parallel unit here is the pattern-word block
-// (64 patterns classic, 256/512 on the widened SIMD lanes), not the fault
-// list: partitioning faults across workers re-executes the fault-free
-// good-machine pass -- the dominant cost the selective-trace propagation
-// exists to amortize -- once per worker. Instead each worker machine loads
-// a whole pattern block (one good pass) and simulates EVERY fault against
-// it, and workers steal blocks from a shared counter so the last block
-// never straggles. When there are too few blocks to go around, the roles
-// flip: blocks run in sequence, one machine evaluates the good pass, its
-// siblings adopt the snapshot, and the workers split the fault list in
-// chunks (fault-chunk decomposition). A wider word means proportionally
-// fewer blocks per pattern set, so the block-vs-chunk Auto decision adapts
-// with the lane.
+// coverage measurement -- and Sec. I-B prices it at about "3001 good
+// machine simulations". The good machine is shared work; propagating each
+// fault's difference frontier is the parallel work. The engine has one
+// schedule:
 //
-// Determinism guarantee: the merged FaultSimResult is bit-identical to
-// BasicParallelFaultSimulator::run on the same inputs for ANY thread count
-// and ANY block schedule -- and across every word width, because the merge
-// keys stay global PATTERN indices. Detections meet in a shared per-fault
-// array merged earliest-pattern-wins (CAS-min on the global pattern index),
-// and cross-block fault dropping only skips a fault when a STRICTLY earlier
-// block already detected it -- so the first-detection minimum is always
-// preserved. The differential tests assert this at 1, 2, and 8 threads
-// under both decompositions at every compiled lane width.
+//  * Pattern-word blocks (64 patterns classic, 256/512 on the widened SIMD
+//    lanes) run in order.
+//  * For each block every worker (the calling thread is worker 0) loads the
+//    block's good machine itself, in parallel, then steals fixed 64-fault
+//    chunks of the fault list from a shared counter until the list is
+//    done. Small chunks keep every worker busy even though propagation cost
+//    is very uneven along the fault order.
+//  * pool_.wait() is the barrier between blocks; after it the driving
+//    thread emits progress, charges the budget and polls it.
+//
+// Determinism guarantee: the result is bit-identical to
+// BasicParallelFaultSimulator::run on the same inputs for any thread count
+// and across every word width. Chunks are disjoint and blocks are ordered,
+// so each first_detected_by entry has exactly one writer per block and the
+// first block that detects a fault is the earliest; fault dropping skips a
+// fault whose entry an earlier block already set. The work done -- faults
+// simulated, gates evaluated, events scheduled -- is the single machine's
+// too, whatever the thread count. The differential tests assert this at
+// 1, 2, 4 and 8 threads at every compiled lane width.
 #pragma once
 
 #include <memory>
@@ -38,18 +39,6 @@
 
 namespace dft {
 
-// How the threaded engine splits a run across the pool. Auto picks per run
-// from the workload shape (see run()); the forced values exist for tests
-// and A/B measurement and are honored even where Auto would not pick them.
-enum class MtDecomposition {
-  Auto,
-  Sequential,    // inline on one machine: no dispatch, no merge
-  PatternBlock,  // workers steal pattern-word blocks, all faults per block
-  FaultChunk,    // blocks in sequence, workers split the fault list
-};
-
-std::string_view to_string(MtDecomposition d);
-
 template <typename EB>
 class BasicThreadedFaultSimulator : public FaultSimEngine {
  public:
@@ -62,14 +51,9 @@ class BasicThreadedFaultSimulator : public FaultSimEngine {
   explicit BasicThreadedFaultSimulator(const Netlist& nl, int threads = 0);
   explicit BasicThreadedFaultSimulator(Netlist&&, int = 0) = delete;  // dangle
 
-  // Budgets are polled cooperatively: between stolen blocks in
-  // pattern-block mode, between sequential blocks in fault-chunk mode. The
-  // partial result is always sound -- every non-(-1) entry is a pattern
-  // that really detects its fault -- but in pattern-block mode blocks
-  // complete out of order, so a partial entry may name a detecting pattern
-  // that is not the earliest one (a completed run is always exact).
-  // Fault-chunk and sequential partials keep the clean prefix semantics of
-  // the single-machine engine.
+  // Budgets are polled at block boundaries, after the block's detections
+  // are in: a partial result covers a clean pattern prefix, exactly like
+  // the single-machine engine's.
   FaultSimResult run(const std::vector<SourceVector>& patterns,
                      const std::vector<Fault>& faults,
                      bool drop_detected = true,
@@ -80,49 +64,22 @@ class BasicThreadedFaultSimulator : public FaultSimEngine {
 
   int threads() const { return pool_.size(); }
 
-  // Workloads below this many (patterns x faults) products run inline on
-  // one machine: dispatch and merge overhead beats any parallel win at this
-  // size, so multi-threading is never a pessimization. ~sn74181 scale.
-  // Pattern-granular on purpose -- the crossover is about total work, not
-  // how many words it packs into.
-  static constexpr std::uint64_t kSequentialCutoff = 1ull << 18;
-
-  // Forces a decomposition (default Auto). Tests use this to drive every
-  // code path regardless of the cutoff and the machine's core count.
-  void set_decomposition(MtDecomposition d) { mode_ = d; }
-  MtDecomposition decomposition() const { return mode_; }
-  // What the last run() actually executed -- the Auto decision or the
-  // forced mode. Also echoed in the obs run report
-  // (fault_sim.threaded.decomposition.*).
-  MtDecomposition last_decomposition() const { return last_; }
-
   // Same observability override as the single-machine engine, forwarded to
   // every worker machine.
   void set_observation_points(const std::vector<GateId>& observed);
   void reset_observation_points();
 
  private:
-  // `detected` accumulates sentinel-leaving CAS wins across every worker
-  // (see run_block_faults) -- the live coverage numerator for the progress
-  // events emitted at block boundaries.
-  void run_pattern_block(const std::vector<SourceVector>& patterns,
-                         const std::vector<Fault>& faults, bool drop_detected,
-                         const guard::Budget* budget,
-                         std::atomic<std::int32_t>* shared, int workers,
-                         std::vector<guard::RunStatus>& status,
-                         std::atomic<std::uint64_t>& detected);
-  void run_fault_chunk(const std::vector<SourceVector>& patterns,
-                       const std::vector<Fault>& faults, bool drop_detected,
-                       const guard::Budget* budget,
-                       std::atomic<std::int32_t>* shared, int workers,
-                       std::vector<guard::RunStatus>& status,
-                       std::atomic<std::uint64_t>& detected);
+  // Faults per stolen chunk: small enough that the slow chunks of a block
+  // spread over every worker, large enough that the shared counter stays
+  // cold.
+  static constexpr std::size_t kChunk = 64;
 
   const Netlist* nl_;
+  // One machine per requested thread; worker 0 runs on the calling thread,
+  // so at most threads() - 1 pool threads take jobs.
   ThreadPool pool_;
   std::vector<std::unique_ptr<BasicParallelFaultSimulator<EB>>> machines_;
-  MtDecomposition mode_ = MtDecomposition::Auto;
-  MtDecomposition last_ = MtDecomposition::Sequential;
 };
 
 // The classic 64-pattern threaded engine every existing consumer names.

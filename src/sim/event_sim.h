@@ -52,12 +52,6 @@ class BasicEventSim {
   // result as the restore baseline for the propagations that follow.
   void evaluate_good();
 
-  // Adopts `other`'s good-machine snapshot instead of re-simulating it --
-  // the broadcast step of the threaded engine's fault-chunk decomposition
-  // (one machine evaluates the pattern block, its siblings copy). Both
-  // machines must share the same CompiledNetlist.
-  void copy_good_from(const BasicEventSim& other);
-
   const Word& good_word(GateId g) const {
     assert(g < good_.size());
     return good_[g];
@@ -119,15 +113,6 @@ void BasicEventSim<EB>::evaluate_good() {
     words_[g] = EB::eval_ids(cn_->type(g), fin.data(), fin.size(), w);
   }
   good_ = words_;
-}
-
-template <typename EB>
-void BasicEventSim<EB>::copy_good_from(const BasicEventSim& other) {
-  assert(cn_.get() == other.cn_.get());
-  good_ = other.good_;
-  // propagate() assumes words_ == good_ between calls (the restore
-  // baseline), so the working state is copied too.
-  words_ = good_;
 }
 
 template <typename EB>

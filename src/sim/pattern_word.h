@@ -14,7 +14,7 @@
 // Bit-position contract (shared by every width): pattern `base + i` of a
 // block loaded at pattern index `base` lives in limb i/64, bit i%64. The
 // traits' first_set therefore recovers the same earliest-pattern index the
-// 64-bit engine computes -- the detection merge keys stay pattern-granular.
+// 64-bit engine computes -- detections stay keyed by global pattern index.
 #pragma once
 
 #include <bit>

@@ -46,8 +46,9 @@ TEST(EventKernelFuzz, AllEnginesAgreeOnRandomDags) {
     spec.seed = meta();
     const Netlist nl = make_random_combinational(spec);
     const auto faults = enumerate_faults(nl);
-    // 1-3 word blocks, so the pattern-block decomposition sees single-block,
-    // exact-multiple and ragged-tail runs across the fuzz space.
+    // 1-3 word blocks, so the threaded engine's in-order block schedule
+    // sees single-block, exact-multiple and ragged-tail runs across the fuzz
+    // space; with no sequential cutoff every thread count runs it.
     const auto pats = random_patterns(nl, 64 + static_cast<int>(meta() % 129),
                                       meta());
 
@@ -69,33 +70,14 @@ TEST(EventKernelFuzz, AllEnginesAgreeOnRandomDags) {
 
     for (int threads : {1, 2, 8}) {
       ThreadedFaultSimulator tsim(nl, threads);
-      ASSERT_EQ(ref.first_detected_by,
-                tsim.run(pats, faults).first_detected_by)
+      const auto rt = tsim.run(pats, faults);
+      ASSERT_EQ(ref.first_detected_by, rt.first_detected_by)
           << threads << " threads";
+      ASSERT_EQ(ref.num_detected, rt.num_detected) << threads << " threads";
       ASSERT_EQ(ref.first_detected_by,
                 tsim.run(pats, faults, /*drop_detected=*/false)
                     .first_detected_by)
           << threads << " threads, no dropping";
-      // Force each parallel decomposition (Auto may fall back to
-      // sequential on small workloads or core-starved machines): the
-      // pattern-block path must merge earliest-pattern-wins and the
-      // cross-block drop must stay bit-identical on the same engine.
-      if (threads > 1) {
-        for (MtDecomposition mode : {MtDecomposition::PatternBlock,
-                                     MtDecomposition::FaultChunk}) {
-          tsim.set_decomposition(mode);
-          const auto forced = tsim.run(pats, faults);
-          ASSERT_EQ(tsim.last_decomposition(), mode);
-          ASSERT_EQ(ref.first_detected_by, forced.first_detected_by)
-              << threads << " threads, forced " << to_string(mode);
-          ASSERT_EQ(ref.num_detected, forced.num_detected);
-          ASSERT_EQ(ref.first_detected_by,
-                    tsim.run(pats, faults, /*drop_detected=*/false)
-                        .first_detected_by)
-              << threads << " threads, forced " << to_string(mode)
-              << ", no dropping";
-        }
-      }
     }
   }
 }

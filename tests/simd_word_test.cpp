@@ -86,7 +86,7 @@ void check_traits() {
   }
 
   // first_set returns the EARLIEST pattern even when later bits are set --
-  // the property the earliest-wins detection merge rests on.
+  // the property first-detection recording rests on at every width.
   for (int b : {0, 1, 63, 64, 65, bits - 2, bits - 1}) {
     if (b < 0 || b >= bits) continue;
     Word w = T::zeros();

@@ -20,6 +20,7 @@
 #include "fault/fault_sim.h"
 #include "fault/threaded_fault_sim.h"
 #include "guard/guard.h"
+#include "obs/obs.h"
 #include "sim/simd.h"
 #include "sim/thread_pool.h"
 
@@ -243,138 +244,192 @@ TEST(ThreadedFaultSim, FactorySelectsEngineByThreadCount) {
   EXPECT_EQ(r1.first_detected_by, r4.first_detected_by);
 }
 
-// --- Decomposition choice: small workloads never pay the dispatch tax -----
+// --- Every thread count agrees at every word width ------------------------
 
-TEST(ThreadedFaultSim, SmallWorkloadsFallBackToSequential) {
-  // sn74181-sized work sits below kSequentialCutoff: Auto must run inline
-  // on one machine no matter how many workers were requested. (We never
-  // assert the opposite direction -- which parallel mode Auto picks above
-  // the cutoff depends on the machine's core count.)
-  const Netlist nl = make_sn74181();
-  const auto faults = collapse_faults(nl).representatives;
-  std::mt19937_64 rng(4);
+// The many-block input of the width tests: two-plus 512-bit words with a
+// ragged tail, so every width sees a full block, a block boundary, and a
+// partial block.
+struct ManyBlockInput {
+  Netlist nl;
+  std::vector<Fault> faults;
   std::vector<SourceVector> pats;
-  for (int i = 0; i < 64; ++i) pats.push_back(random_source_vector(nl, rng));
-  ASSERT_LT(static_cast<std::uint64_t>(pats.size()) * faults.size(),
-            ThreadedFaultSimulator::kSequentialCutoff);
+};
 
-  ParallelFaultSimulator psim(nl);
-  const auto ref = psim.run(pats, faults);
-  for (int threads : {2, 8}) {
-    ThreadedFaultSimulator tsim(nl, threads);
-    const auto rt = tsim.run(pats, faults);
-    EXPECT_EQ(tsim.last_decomposition(), MtDecomposition::Sequential)
-        << threads << " threads";
-    EXPECT_EQ(ref.first_detected_by, rt.first_detected_by);
-    // A forced mode overrides the cutoff -- same answer either way.
-    tsim.set_decomposition(MtDecomposition::PatternBlock);
-    const auto rf = tsim.run(pats, faults);
-    EXPECT_EQ(tsim.last_decomposition(), MtDecomposition::PatternBlock);
-    EXPECT_EQ(ref.first_detected_by, rf.first_detected_by);
-  }
-}
-
-// --- Forced decompositions stay bit-identical at every word width ---------
-
-// The pattern-block merge keys stay pattern-granular no matter how many
-// patterns one word carries, so earliest-wins and the cross-block drop give
-// the same answer on every backend. Exercised by type (the factory cannot
-// force a decomposition).
-template <typename EB>
-void check_forced_decompositions_for_backend(const char* tag) {
-  SCOPED_TRACE(tag);
+ManyBlockInput many_block_input() {
   RandomCircuitSpec spec;
   spec.num_inputs = 11;
   spec.num_outputs = 7;
   spec.num_gates = 120;
   spec.max_fanin = 4;
   spec.seed = 4242;
-  const Netlist nl = make_random_combinational(spec);
-  const auto faults = enumerate_faults(nl);
+  ManyBlockInput in{make_random_combinational(spec), {}, {}};
+  in.faults = enumerate_faults(in.nl);
   std::mt19937_64 rng(4242);
-  std::vector<SourceVector> pats;
-  // Two-plus 512-bit words with a ragged tail: every width sees a full
-  // block, a block boundary, and a partial block.
   for (int i = 0; i < 512 + 512 + 77; ++i) {
-    pats.push_back(random_source_vector(nl, rng));
+    in.pats.push_back(random_source_vector(in.nl, rng));
   }
-  DeductiveFaultSimulator ref_engine(nl);
-  const auto ref = ref_engine.run(pats, faults);
+  return in;
+}
 
-  BasicThreadedFaultSimulator<EB> tsim(nl, 4);
-  for (MtDecomposition mode :
-       {MtDecomposition::Sequential, MtDecomposition::PatternBlock,
-        MtDecomposition::FaultChunk}) {
-    SCOPED_TRACE(std::string(to_string(mode)));
-    tsim.set_decomposition(mode);
-    const auto r = tsim.run(pats, faults);
-    ASSERT_EQ(tsim.last_decomposition(), mode);
+// Detections are keyed by global PATTERN index at every width, so each
+// thread count gives the deductive oracle's answer on every backend.
+// Exercised by type (the factory picks one lane per host).
+template <typename EB>
+void check_thread_counts_for_backend(const char* tag) {
+  SCOPED_TRACE(tag);
+  const ManyBlockInput in = many_block_input();
+  DeductiveFaultSimulator ref_engine(in.nl);
+  const auto ref = ref_engine.run(in.pats, in.faults);
+  for (int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    BasicThreadedFaultSimulator<EB> tsim(in.nl, threads);
+    const auto r = tsim.run(in.pats, in.faults);
     ASSERT_EQ(ref.num_detected, r.num_detected);
     ASSERT_EQ(ref.first_detected_by, r.first_detected_by);
     ASSERT_EQ(ref.first_detected_by,
-              tsim.run(pats, faults, /*drop_detected=*/false)
+              tsim.run(in.pats, in.faults, /*drop_detected=*/false)
                   .first_detected_by);
   }
 }
 
-TEST(ThreadedFaultSim, ForcedDecompositionsAgreeAtEveryWidth) {
-  check_forced_decompositions_for_backend<ScalarEval<std::uint64_t>>(
-      "scalar_x1");
-  check_forced_decompositions_for_backend<ScalarEval<PatternWord<4>>>(
-      "scalar_x4");
-  check_forced_decompositions_for_backend<ScalarEval<PatternWord<8>>>(
-      "scalar_x8");
+TEST(ThreadedFaultSim, ThreadCountsAgreeAtEveryWidth) {
+  check_thread_counts_for_backend<ScalarEval<std::uint64_t>>("scalar_x1");
+  check_thread_counts_for_backend<ScalarEval<PatternWord<4>>>("scalar_x4");
+  check_thread_counts_for_backend<ScalarEval<PatternWord<8>>>("scalar_x8");
 #if DFT_SIMD_X86
   if (simd::host_supports(simd::Lane::Avx2)) {
-    check_forced_decompositions_for_backend<Avx2Eval>("avx2_x4");
+    check_thread_counts_for_backend<Avx2Eval>("avx2_x4");
   }
   if (simd::host_supports(simd::Lane::Avx512)) {
-    check_forced_decompositions_for_backend<Avx512Eval>("avx512_x8");
+    check_thread_counts_for_backend<Avx512Eval>("avx512_x8");
   }
 #endif
 }
 
-// --- Budget expiry yields a sound partial under every decomposition -------
+// --- Work counts do not depend on the thread count ------------------------
 
-TEST(ThreadedFaultSim, BudgetPartialIsSoundUnderEveryDecomposition) {
-  const Netlist nl = make_sn74181();
-  const auto faults = collapse_faults(nl).representatives;
+// The obs work counters one run adds.
+struct WorkCounts {
+  std::uint64_t gates = 0;
+  std::uint64_t events = 0;
+  std::uint64_t faults = 0;
+  std::uint64_t blocks = 0;
+
+  static WorkCounts read() {
+    obs::Registry& reg = obs::Registry::global();
+    return {reg.counter("fault_sim.event.gates_evaluated").value(),
+            reg.counter("fault_sim.event.events_scheduled").value(),
+            reg.counter("fault_sim.ppsfp.faults_simulated").value(),
+            reg.counter("fault_sim.ppsfp.pattern_blocks").value()};
+  }
+  WorkCounts operator-(const WorkCounts& o) const {
+    return {gates - o.gates, events - o.events, faults - o.faults,
+            blocks - o.blocks};
+  }
+};
+
+template <typename Engine>
+WorkCounts counted_run(Engine& eng, const ManyBlockInput& in, bool drop) {
+  const WorkCounts before = WorkCounts::read();
+  (void)eng.run(in.pats, in.faults, drop);
+  return WorkCounts::read() - before;
+}
+
+// Blocks run in order and every fault is simulated by one worker per
+// block, so the threaded engine does the single machine's work: the same
+// faults simulated (cross-block drops included), gates evaluated, events
+// scheduled, and pattern blocks counted once each.
+template <typename EB>
+void check_work_counts_for_backend(const char* tag) {
+  SCOPED_TRACE(tag);
+  obs::set_enabled(true);
+  const ManyBlockInput in = many_block_input();
+  BasicParallelFaultSimulator<EB> single(in.nl);
+  for (bool drop : {true, false}) {
+    SCOPED_TRACE(drop ? "dropping" : "no dropping");
+    const WorkCounts ref = counted_run(single, in, drop);
+    ASSERT_GT(ref.gates, 0u);
+    const std::size_t bits = BasicParallelFaultSimulator<EB>::Traits::kBits;
+    ASSERT_EQ(ref.blocks, (in.pats.size() + bits - 1) / bits);
+    for (int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      BasicThreadedFaultSimulator<EB> tsim(in.nl, threads);
+      const WorkCounts got = counted_run(tsim, in, drop);
+      EXPECT_EQ(got.gates, ref.gates);
+      EXPECT_EQ(got.events, ref.events);
+      EXPECT_EQ(got.faults, ref.faults);
+      EXPECT_EQ(got.blocks, ref.blocks);
+    }
+  }
+}
+
+TEST(ThreadedFaultSim, WorkCountsDoNotDependOnThreadCount) {
+  check_work_counts_for_backend<ScalarEval<std::uint64_t>>("scalar_x1");
+  check_work_counts_for_backend<ScalarEval<PatternWord<4>>>("scalar_x4");
+  check_work_counts_for_backend<ScalarEval<PatternWord<8>>>("scalar_x8");
+#if DFT_SIMD_X86
+  if (simd::host_supports(simd::Lane::Avx2)) {
+    check_work_counts_for_backend<Avx2Eval>("avx2_x4");
+  }
+  if (simd::host_supports(simd::Lane::Avx512)) {
+    check_work_counts_for_backend<Avx512Eval>("avx512_x8");
+  }
+#endif
+}
+
+// --- Budget expiry yields a clean-prefix partial at every thread count ----
+
+TEST(ThreadedFaultSim, BudgetPartialIsACleanPrefixAtEveryThreadCount) {
+  // Well above 2^18 patterns x faults, so no thread count runs it on the
+  // cheap: 512 patterns (eight 64-pattern blocks) against ~2k faults.
+  RandomCircuitSpec spec;
+  spec.num_inputs = 24;
+  spec.num_outputs = 12;
+  spec.num_gates = 400;
+  spec.max_fanin = 4;
+  spec.seed = 12;
+  const Netlist nl = make_random_combinational(spec);
+  const auto faults = enumerate_faults(nl);
   std::mt19937_64 rng(12);
   std::vector<SourceVector> pats;
-  for (int i = 0; i < 256; ++i) pats.push_back(random_source_vector(nl, rng));
+  for (int i = 0; i < 512; ++i) pats.push_back(random_source_vector(nl, rng));
+  ASSERT_GT(static_cast<std::uint64_t>(pats.size()) * faults.size(),
+            std::uint64_t{1} << 18);
 
+  ParallelFaultSimulator single(nl);
+  const auto full = single.run(pats, faults);
   SerialFaultSimulator oracle(nl);
-  for (MtDecomposition mode :
-       {MtDecomposition::Sequential, MtDecomposition::PatternBlock,
-        MtDecomposition::FaultChunk}) {
+  // A limit of 100 is crossed by the second block's charge, so the run
+  // stops after the 128-pattern prefix.
+  constexpr int kPrefix = 128;
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
     guard::Budget budget;
-    budget.set_pattern_limit(64);  // exhausted after the first block's charge
-    ThreadedFaultSimulator tsim(nl, 4);
-    tsim.set_decomposition(mode);
+    budget.set_pattern_limit(100);
+    ThreadedFaultSimulator tsim(nl, threads);
     const auto r = tsim.run(pats, faults, /*drop_detected=*/true, &budget);
-    SCOPED_TRACE(std::string("mode ") + std::string(to_string(mode)));
-    EXPECT_EQ(tsim.last_decomposition(), mode);
     EXPECT_EQ(r.status, guard::RunStatus::DeadlineExpired);
     EXPECT_TRUE(guard::interrupted(r.status));
-    // Partial-result contract: every recorded detection is real. In
-    // pattern-block mode the entry may not be the EARLIEST detecting
-    // pattern (blocks finish out of order), but it must detect the fault.
     ASSERT_EQ(r.first_detected_by.size(), faults.size());
     int recorded = 0;
     for (std::size_t i = 0; i < faults.size(); ++i) {
+      const int want = full.first_detected_by[i] < kPrefix
+                           ? full.first_detected_by[i]
+                           : -1;
       const int p = r.first_detected_by[i];
+      ASSERT_EQ(p, want) << "fault " << i;
       if (p < 0) continue;
       ++recorded;
-      ASSERT_LT(static_cast<std::size_t>(p), pats.size());
       EXPECT_TRUE(oracle.detects(pats[static_cast<std::size_t>(p)],
                                  faults[i]))
           << "fault " << i << " claims pattern " << p;
     }
+    EXPECT_GT(recorded, 0);
     EXPECT_EQ(recorded, r.num_detected);
     // The engine stays usable: an unbudgeted rerun completes exactly.
-    const auto full = tsim.run(pats, faults);
-    EXPECT_EQ(full.status, guard::RunStatus::Completed);
-    EXPECT_GE(full.num_detected, r.num_detected);
+    const auto again = tsim.run(pats, faults);
+    EXPECT_EQ(again.status, guard::RunStatus::Completed);
+    EXPECT_EQ(again.first_detected_by, full.first_detected_by);
   }
 }
 
