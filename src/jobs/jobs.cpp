@@ -16,6 +16,10 @@ namespace {
 
 using Kind = OptionSpec::Kind;
 
+void count(const char* name) {
+  if (obs::enabled()) obs::Registry::global().counter(name).add(1);
+}
+
 // The setter of one Options member: `text` for a string, `number` else.
 template <auto Member>
 void store(Options& o, long long number, const std::string& text) {
@@ -99,9 +103,38 @@ void set_option(Options& opt, const OptionSpec& spec, long long number,
 
 CompiledCircuit compile(Netlist nl) {
   obs::Phase phase("collapse");
-  CompiledCircuit c{std::move(nl), {}};
+  CompiledCircuit c{std::move(nl), {}, {}};
   c.faults = collapse_faults(c.netlist).representatives;
   return c;
+}
+
+std::shared_ptr<const sta::StaticAnalyzer>
+CompiledCircuit::AnalyzerSlot::load() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return ptr_;
+}
+
+std::shared_ptr<const sta::StaticAnalyzer>
+CompiledCircuit::AnalyzerSlot::store_if_empty(
+    std::shared_ptr<const sta::StaticAnalyzer> a) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (ptr_ == nullptr) ptr_ = std::move(a);
+  return ptr_;
+}
+
+std::shared_ptr<const sta::StaticAnalyzer> CompiledCircuit::analyzer(
+    const guard::Budget& budget) const {
+  if (auto stored = analyzer_slot.load()) {
+    count("jobs.sta_analyzer.reused");
+    return stored;
+  }
+  sta::StaOptions opt;
+  opt.budget = budget;
+  auto built = std::make_shared<const sta::StaticAnalyzer>(netlist, opt);
+  if (built->stats().status != guard::RunStatus::Completed) return built;
+  count("jobs.sta_analyzer.built");
+  // A racing build may have been stored first; ours is equal to it.
+  return analyzer_slot.store_if_empty(std::move(built));
 }
 
 guard::Budget make_budget(long long deadline_ms,
@@ -162,13 +195,18 @@ BistResult bist(const CompiledCircuit& c, const Options& opt,
 StaResult sta(const CompiledCircuit& c, const Options& opt,
               const guard::Budget& budget) {
   obs::Phase phase("sta");
-  sta::StaOptions sopt;
-  sopt.learn = opt.learn;
-  sopt.budget = budget;
-  const sta::StaticAnalyzer analyzer(c.netlist, sopt);
+  std::shared_ptr<const sta::StaticAnalyzer> analyzer;
+  if (opt.learn) {
+    analyzer = c.analyzer(budget);
+  } else {
+    sta::StaOptions sopt;
+    sopt.learn = false;
+    sopt.budget = budget;
+    analyzer = std::make_shared<const sta::StaticAnalyzer>(c.netlist, sopt);
+  }
   StaResult r;
-  r.untestable = analyzer.untestable_faults(c.faults);
-  r.stats = analyzer.stats();
+  r.untestable = analyzer->untestable_faults(c.faults);
+  r.stats = analyzer->stats();
   if (obs::enabled()) {
     obs::Registry::global()
         .counter("sta.untestable_faults")

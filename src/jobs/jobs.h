@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -78,10 +79,46 @@ long long parse_integer(std::string_view name, std::string_view text,
 
 // A netlist plus its collapsed fault representatives: everything a job
 // needs that depends on the circuit bytes alone. compile() collapses under
-// the obs phase "collapse".
+// the obs phase "collapse". A default-constructed circuit filled in field by
+// field is just as valid.
 struct CompiledCircuit {
   Netlist netlist;
   std::vector<Fault> faults;
+
+  // The learned sta analysis of `netlist` at default StaOptions, built on
+  // first use and then shared read-only by every job on this circuit. A
+  // call finding one stored returns it (counted jobs.sta_analyzer.reused),
+  // whatever its own budget. Otherwise it builds one under `budget`; a
+  // complete analysis is stored (jobs.sta_analyzer.built), a deadline-
+  // expired or cancelled one is returned to this caller only. No lock is
+  // held while building, so racing first calls each build and one complete
+  // result is kept. Throws like StaticAnalyzer on a combinational cycle.
+  std::shared_ptr<const sta::StaticAnalyzer> analyzer(
+      const guard::Budget& budget) const;
+
+  // The slot analyzer() fills. Its mutex guards only the pointer copy,
+  // never a build. (libstdc++ 12's atomic<shared_ptr>::load releases its
+  // lock bit relaxed, a race ThreadSanitizer reports against a concurrent
+  // compare-exchange.) A copied, moved or assigned-to circuit starts with
+  // an empty slot.
+  class AnalyzerSlot {
+   public:
+    AnalyzerSlot() = default;
+    AnalyzerSlot(const AnalyzerSlot&) {}
+    AnalyzerSlot& operator=(const AnalyzerSlot&) {
+      ptr_.reset();
+      return *this;
+    }
+    std::shared_ptr<const sta::StaticAnalyzer> load() const;
+    // Stores `a` unless the slot already holds one; returns what it holds.
+    std::shared_ptr<const sta::StaticAnalyzer> store_if_empty(
+        std::shared_ptr<const sta::StaticAnalyzer> a) const;
+
+   private:
+    mutable std::mutex mu_;
+    mutable std::shared_ptr<const sta::StaticAnalyzer> ptr_;
+  };
+  AnalyzerSlot analyzer_slot;
 };
 CompiledCircuit compile(Netlist nl);
 

@@ -4,8 +4,9 @@
 
 namespace dft {
 
-LintContext::LintContext(const Netlist& netlist, const LintOptions& options)
-    : nl(netlist), opt(options) {
+LintContext::LintContext(const Netlist& netlist, const LintOptions& options,
+                         const sta::StaticAnalyzer* shared_sta)
+    : nl(netlist), opt(options), sta_(shared_sta) {
   fanouts_.assign(nl.size(), {});
   for (GateId g = 0; g < nl.size(); ++g) {
     for (GateId f : nl.fanin(g)) {
@@ -110,11 +111,14 @@ const CopResult* LintContext::cop() {
 const sta::StaticAnalyzer* LintContext::sta() {
   if (!sta_tried_) {
     sta_tried_ = true;
-    if (!has_comb_cycle()) {
-      sta_ = std::make_unique<sta::StaticAnalyzer>(nl);
+    if (has_comb_cycle()) {
+      sta_ = nullptr;
+    } else if (sta_ == nullptr) {
+      own_sta_ = std::make_unique<sta::StaticAnalyzer>(nl);
+      sta_ = own_sta_.get();
     }
   }
-  return sta_.get();
+  return sta_;
 }
 
 }  // namespace dft

@@ -69,11 +69,12 @@ std::vector<const LintRule*> LintEngine::rules() const {
   return out;
 }
 
-LintReport LintEngine::run(const Netlist& nl) const {
+LintReport LintEngine::run(const Netlist& nl,
+                           const sta::StaticAnalyzer* sta) const {
   LintReport report;
   report.netlist = nl.name();
   report.gate_count = nl.size();
-  LintContext ctx(nl, options_);
+  LintContext ctx(nl, options_, sta);
   for (std::size_t i = 0; i < rules_.size(); ++i) {
     if (!enabled_[i]) continue;
     const LintRule& rule = *rules_[i];
@@ -110,7 +111,9 @@ LintReport LintEngine::run(const Netlist& nl) const {
   return report;
 }
 
-LintReport lint_netlist(const Netlist& nl) { return LintEngine().run(nl); }
+LintReport lint_netlist(const Netlist& nl, const sta::StaticAnalyzer* sta) {
+  return LintEngine().run(nl, sta);
+}
 
 LintReport lint_scan_rules(const Netlist& nl, bool require_all_scanned) {
   LintEngine engine;

@@ -39,7 +39,12 @@ class LintEngine {
   const LintRule* find_rule(std::string_view rule_id) const;  // null if absent
   std::vector<const LintRule*> rules() const;  // registration order
 
-  LintReport run(const Netlist& nl) const;
+  // `sta`, when given, is a complete analysis of `nl` at default
+  // StaOptions (for instance jobs::CompiledCircuit::analyzer()); the
+  // redundancy rules read it instead of building their own, and the report
+  // is the same.
+  LintReport run(const Netlist& nl,
+                 const sta::StaticAnalyzer* sta = nullptr) const;
 
  private:
   std::size_t index_of(std::string_view rule_id) const;  // throws if unknown
@@ -49,8 +54,9 @@ class LintEngine {
   LintOptions options_;
 };
 
-// Convenience: all built-in rules, default options.
-LintReport lint_netlist(const Netlist& nl);
+// Convenience: all built-in rules, default options, `sta` as for run().
+LintReport lint_netlist(const Netlist& nl,
+                        const sta::StaticAnalyzer* sta = nullptr);
 
 // Scan-readiness subset only; with require_all_scanned=false the presence of
 // unconverted flip-flops (SCAN-001) is tolerated, which is what a partial

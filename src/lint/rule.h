@@ -1,11 +1,11 @@
 // Lint rule interface and the shared analysis context rules draw on.
 //
 // Rules are purely structural: they walk the netlist without simulating it.
-// The LintContext owns analyses several rules share (fanout lists, cycle
-// membership, SCOAP/COP measures) and — unlike the Netlist's own caches —
-// stays usable on *broken* netlists: it never calls Netlist::topo_order(),
-// which throws on combinational cycles, because reporting exactly those
-// netlists is the point of a checker.
+// The LintContext holds analyses several rules share (fanout lists, cycle
+// membership, SCOAP/COP measures, a borrowed or own sta analysis) and —
+// unlike the Netlist's own caches — stays usable on *broken* netlists: it
+// never calls Netlist::topo_order(), which throws on combinational cycles,
+// because reporting exactly those netlists is the point of a checker.
 #pragma once
 
 #include <memory>
@@ -35,7 +35,10 @@ struct LintOptions {
 // Shared, lazily computed analyses over one netlist.
 class LintContext {
  public:
-  LintContext(const Netlist& netlist, const LintOptions& options);
+  // `shared_sta`, when given, is a complete analysis of `netlist` at default
+  // StaOptions that sta() returns instead of building its own.
+  LintContext(const Netlist& netlist, const LintOptions& options,
+              const sta::StaticAnalyzer* shared_sta = nullptr);
 
   const Netlist& nl;
   const LintOptions& opt;
@@ -53,8 +56,9 @@ class LintContext {
   const CopResult* cop();
 
   // Static structural analysis (dft::sta) for the redundancy rules;
-  // nullptr when the netlist is cyclic. Computed on first use -- netlists
-  // that only run the cheap rule families never pay for it.
+  // nullptr when the netlist is cyclic. The shared analyzer when one was
+  // given, otherwise built on first use -- netlists that only run the cheap
+  // rule families never pay for it.
   const sta::StaticAnalyzer* sta();
 
  private:
@@ -62,7 +66,8 @@ class LintContext {
   std::optional<std::vector<std::vector<GateId>>> cycles_;
   std::optional<ScoapResult> scoap_;
   std::optional<CopResult> cop_;
-  std::unique_ptr<sta::StaticAnalyzer> sta_;
+  const sta::StaticAnalyzer* sta_;
+  std::unique_ptr<sta::StaticAnalyzer> own_sta_;
   bool scoap_tried_ = false;
   bool cop_tried_ = false;
   bool sta_tried_ = false;

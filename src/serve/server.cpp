@@ -207,7 +207,9 @@ std::string Server::execute(Job& job, guard::RunStatus& status_out) {
   std::string result;
   switch (req.op) {
     case Op::Lint: {
-      const LintReport rep = lint_netlist(nl);
+      // Lint has no budget: its answer is always the full analysis.
+      const LintReport rep =
+          lint_netlist(nl, circuit->analyzer(guard::Budget{}).get());
       obs::JsonWriter b;
       b.begin_object()
           .int_field("errors", rep.errors())

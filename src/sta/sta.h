@@ -99,6 +99,9 @@ struct StaStats {
 // One-shot analyzer: all analysis happens in the constructor; queries are
 // const and O(1) per line / O(pins) per fault afterwards. Throws
 // std::runtime_error on a combinational cycle (like CompiledNetlist).
+// A constructed analyzer may be shared read-only across threads: every
+// query is const and the class has no mutable state, so concurrent queries
+// need no lock (jobs::CompiledCircuit::analyzer shares one per circuit).
 class StaticAnalyzer {
  public:
   explicit StaticAnalyzer(const Netlist& nl, const StaOptions& opt = {});

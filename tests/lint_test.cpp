@@ -18,6 +18,8 @@
 #include "circuits/sn74181.h"
 #include "lint/engine.h"
 #include "scan/scan_insert.h"
+#include "serve/cache.h"
+#include "sta/sta.h"
 
 namespace dft {
 namespace {
@@ -517,6 +519,23 @@ TEST(LintRedundancy, SilentOnCyclicNetlists) {
     EXPECT_TRUE(rule_diags(report, id).empty()) << id;
   }
   EXPECT_FALSE(rule_diags(report, "STRUCT-001").empty());
+}
+
+// A caller-supplied analysis (the daemon shares one per cached circuit)
+// renders the same report as lint building its own. Every built-in circuit
+// but rand20k, whose analysis takes tens of seconds per build, too slow for
+// this suite; rand2k is the same generator at a tenth of the size.
+TEST(LintRedundancy, SharedAnalyzerRendersTheSameReport) {
+  for (const char* name :
+       {"c17", "adder4", "adder8", "mult3", "dec3", "parity8", "mux3", "cmp4",
+        "sn74181", "counter8", "accum4", "rand2k"}) {
+    const Netlist nl = serve::builtin_circuit(name);
+    const sta::StaticAnalyzer shared(nl);
+    const LintReport own = lint_netlist(nl);
+    const LintReport borrowed = lint_netlist(nl, &shared);
+    EXPECT_EQ(render_text(nl, borrowed), render_text(nl, own)) << name;
+    EXPECT_EQ(render_json(nl, borrowed), render_json(nl, own)) << name;
+  }
 }
 
 // --- Deterministic report ordering ----------------------------------------

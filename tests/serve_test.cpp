@@ -18,11 +18,14 @@
 #include "fault/fault.h"
 #include "fault/fault_sim.h"
 #include "fx/fx.h"
+#include "jobs/jobs.h"
+#include "lint/engine.h"
 #include "netlist/logic.h"
 #include "obs/json.h"
 #include "obs/obs.h"
 #include "serve/cache.h"
 #include "serve/server.h"
+#include "sta/sta.h"
 
 namespace dft::serve {
 namespace {
@@ -539,6 +542,170 @@ TEST(ServeServer, BistAndStaJobsRecordTheCliCounters) {
             100u);
   EXPECT_EQ(reg.counter("sta.untestable_faults").value() - untestable0,
             static_cast<std::uint64_t>(untestable));
+}
+
+// --- One shared sta analysis per cached circuit ----------------------------
+
+std::uint64_t counter_value(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+// What a direct, unshared call answers for one circuit's lint and sta.
+struct DirectAnswers {
+  LintReport lint;
+  sta::StaStats sta;
+  std::size_t untestable = 0;
+};
+
+DirectAnswers direct_answers(const Netlist& nl) {
+  DirectAnswers d;
+  d.lint = lint_netlist(nl);
+  const sta::StaticAnalyzer fresh(nl);
+  d.sta = fresh.stats();
+  d.untestable =
+      fresh.untestable_faults(collapse_faults(nl).representatives).size();
+  return d;
+}
+
+// An ok, complete lint or sta answer equal to the direct call's.
+void expect_direct_answer(const std::string& line, const DirectAnswers& d) {
+  const obs::Json doc = parse(line);
+  ASSERT_TRUE(ok(doc)) << line;
+  EXPECT_FALSE(doc.find("degraded")->as_bool()) << line;
+  if (str(doc, "op") == "lint") {
+    EXPECT_EQ(result_number(doc, "errors"), d.lint.errors()) << line;
+    EXPECT_EQ(result_number(doc, "warnings"), d.lint.warnings()) << line;
+    EXPECT_EQ(result_number(doc, "diagnostics"),
+              static_cast<double>(d.lint.diagnostics.size()))
+        << line;
+    EXPECT_EQ(doc.find("result")->find("passed")->as_bool(), d.lint.passed())
+        << line;
+  } else {
+    EXPECT_EQ(result_number(doc, "constants"), d.sta.constants_found) << line;
+    EXPECT_EQ(result_number(doc, "unobservable"), d.sta.unobservable_gates)
+        << line;
+    EXPECT_EQ(result_number(doc, "untestable"),
+              static_cast<double>(d.untestable))
+        << line;
+  }
+}
+
+TEST(ServeServer, LintAndStaShareOneAnalyzerPerCachedCircuit) {
+  const DirectAnswers direct = direct_answers(builtin_circuit("rand2k"));
+  const std::uint64_t built0 = counter_value("jobs.sta_analyzer.built");
+  const std::uint64_t reused0 = counter_value("jobs.sta_analyzer.reused");
+  Server server;
+  Collector out;
+  server.submit_line(request("s1", "sta", "rand2k"), out.fn());
+  server.wait_idle();
+  EXPECT_EQ(counter_value("jobs.sta_analyzer.built") - built0, 1u);
+  EXPECT_EQ(counter_value("jobs.sta_analyzer.reused") - reused0, 0u);
+  const std::uint64_t imply1 = counter_value("sta.imply_calls");
+  ASSERT_GT(imply1, 0u);
+
+  server.submit_line(request("s2", "sta", "rand2k"), out.fn());
+  server.submit_line(request("l", "lint", "rand2k"), out.fn());
+  server.wait_idle();
+  EXPECT_EQ(counter_value("sta.imply_calls"), imply1);
+  EXPECT_EQ(counter_value("jobs.sta_analyzer.built") - built0, 1u);
+  EXPECT_EQ(counter_value("jobs.sta_analyzer.reused") - reused0, 2u);
+  const auto lines = out.lines();
+  ASSERT_EQ(lines.size(), 3u);
+  for (const std::string& line : lines) expect_direct_answer(line, direct);
+  expect_accounted(server);
+}
+
+// A deadline-expired analysis answers its own job degraded and is dropped;
+// the next unbudgeted job stores a complete one. Once stored, even a job
+// whose deadline has already passed answers from it, complete -- reading a
+// finished analysis costs no search, so there is nothing to cut short.
+TEST(ServeServer, PartialStaAnalysisIsNeverStored) {
+  const DirectAnswers direct = direct_answers(builtin_circuit("rand2k"));
+  const std::uint64_t built0 = counter_value("jobs.sta_analyzer.built");
+  const std::uint64_t reused0 = counter_value("jobs.sta_analyzer.reused");
+  Server server;
+  Collector first, second, third;
+  server.submit_line(request("cut", "sta", "rand2k", "\"deadline_ms\":0"),
+                     first.fn());
+  server.wait_idle();
+  ASSERT_EQ(first.size(), 1u);
+  const obs::Json cut = parse(first.lines()[0]);
+  ASSERT_TRUE(ok(cut)) << first.lines()[0];
+  EXPECT_TRUE(cut.find("degraded")->as_bool()) << first.lines()[0];
+  EXPECT_EQ(counter_value("jobs.sta_analyzer.built") - built0, 0u);
+
+  server.submit_line(request("full", "sta", "rand2k"), second.fn());
+  server.wait_idle();
+  ASSERT_EQ(second.size(), 1u);
+  expect_direct_answer(second.lines()[0], direct);
+  EXPECT_EQ(counter_value("jobs.sta_analyzer.built") - built0, 1u);
+
+  server.submit_line(request("late", "sta", "rand2k", "\"deadline_ms\":0"),
+                     third.fn());
+  server.wait_idle();
+  ASSERT_EQ(third.size(), 1u);
+  expect_direct_answer(third.lines()[0], direct);
+  EXPECT_EQ(counter_value("jobs.sta_analyzer.built") - built0, 1u);
+  EXPECT_EQ(counter_value("jobs.sta_analyzer.reused") - reused0, 1u);
+  expect_accounted(server);
+}
+
+// Four workers run lint and sta on one cached circuit whose analyzer slot
+// starts empty, so the first builds race. Every answer equals the direct
+// call's and every job either built a complete analysis or reused one.
+TEST(ServeServer, ConcurrentLintAndStaOnOneCachedCircuit) {
+  const DirectAnswers direct = direct_answers(builtin_circuit("rand2k"));
+  ServerOptions opt;
+  opt.workers = 4;
+  opt.max_inflight = 16;
+  Server server(opt);
+  Collector warm, out;
+  // Caches rand2k without building its analyzer.
+  server.submit_line(request("m", "measure", "rand2k"), warm.fn());
+  server.wait_idle();
+  const std::uint64_t built0 = counter_value("jobs.sta_analyzer.built");
+  const std::uint64_t reused0 = counter_value("jobs.sta_analyzer.reused");
+  constexpr int kRounds = 3;
+  for (int round = 0; round < kRounds; ++round) {
+    for (int w = 0; w < 4; ++w) {
+      const char* op = (round + w) % 2 == 0 ? "lint" : "sta";
+      server.submit_line(
+          request("r" + std::to_string(round) + "-" + std::to_string(w), op,
+                  "rand2k"),
+          out.fn());
+    }
+  }
+  server.wait_idle();
+  const auto lines = out.lines();
+  ASSERT_EQ(lines.size(), 4u * kRounds);
+  for (const std::string& line : lines) {
+    EXPECT_EQ(str(parse(line), "cache"), "hit") << line;
+    expect_direct_answer(line, direct);
+  }
+  const std::uint64_t built = counter_value("jobs.sta_analyzer.built") - built0;
+  const std::uint64_t reused =
+      counter_value("jobs.sta_analyzer.reused") - reused0;
+  EXPECT_GE(built, 1u);
+  EXPECT_LE(built, 4u);
+  EXPECT_EQ(built + reused, 4u * kRounds);
+  expect_accounted(server);
+}
+
+TEST(JobsCompiledCircuit, AnalyzerIsKeptAndACopyStartsEmpty) {
+  const jobs::CompiledCircuit c = jobs::compile(builtin_circuit("c17"));
+  EXPECT_EQ(c.analyzer_slot.load(), nullptr);
+  const auto first = c.analyzer(guard::Budget{});
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->stats().status, guard::RunStatus::Completed);
+  EXPECT_EQ(c.analyzer(guard::Budget{}), first);
+  const jobs::CompiledCircuit copy = c;
+  EXPECT_EQ(copy.analyzer_slot.load(), nullptr);
+  EXPECT_EQ(copy.netlist.size(), c.netlist.size());
+  EXPECT_EQ(copy.faults, c.faults);
+  jobs::CompiledCircuit assigned;
+  assigned.analyzer(guard::Budget{});
+  assigned = c;
+  EXPECT_EQ(assigned.analyzer_slot.load(), nullptr);
 }
 
 TEST(ServeServer, InlineBenchCircuitCompilesAndUnparsableIsBadRequest) {
