@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
     const auto re = bench::timed("engine.event", &t_evt, [&] {
       return evt.run(pats, col.representatives, false);
     });
-    ThreadedFaultSimulator thr_evt(nl, threads);
+    ParallelFaultSimulator thr_evt(nl, threads);
     double t_thre = 0;
     const auto rte = bench::timed("engine.event_mt", &t_thre, [&] {
       return thr_evt.run(pats, col.representatives, false);

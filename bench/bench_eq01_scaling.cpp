@@ -6,9 +6,9 @@
 // exponent is ~3 (footnote: "other analyses have used the value 2") and
 // that fault simulation alone scales ~N^2.
 //
-// `--threads N` additionally runs the fault-simulation workload on the
-// fault-partitioned ThreadedFaultSimulator with N workers (0 = hardware
-// concurrency) and reports the speedup over the single-threaded engine;
+// `--threads N` additionally runs the fault-simulation workload on N
+// workers of the PPSFP engine, ParallelFaultSimulator(nl, N) (0 = hardware
+// concurrency), and reports the speedup over one worker;
 // the constant K shrinks with cores, the exponent does not.
 // `--json <file>` writes the dft-obs-report document with every section
 // time ("bench.atpg.<gates>", ...), the engine phase timers, and the
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
     t_fsim.push_back(std::max(1e-6, fsim_s));
     bench::report_value("coverage." + tag, run.fault_coverage());
     if (threaded) {
-      ThreadedFaultSimulator tsim(nl, threads);
+      ParallelFaultSimulator tsim(nl, threads);
       double mt_s = 0;
       const auto rt =
           bench::timed("fault_sim_mt." + tag, &mt_s,

@@ -3,8 +3,8 @@
 // The PPSFP block loop runs one propagation kernel: a levelized selective
 // trace over the CompiledNetlist that schedules only fanouts of gates whose
 // pattern word actually changed, stops when the difference frontier dies,
-// and restores only touched gates. This bench measures it single-threaded
-// against the threaded engine, across thread counts and across
+// and restores only touched gates. This bench measures the PPSFP engine on
+// one worker against --threads workers, across thread counts and across
 // pattern-word widths.
 //
 // Circuits: the bundled SN74181 ALU plus two random combinational
@@ -121,8 +121,8 @@ CircuitTimes run_circuit(const Netlist& nl, const std::string& tag,
 
   // Construction -- CompiledNetlist compilation, ThreadPool spin-up --
   // stays outside every timed region.
-  ParallelFaultSimulator evt(nl);
-  ThreadedFaultSimulator evt_mt(nl, threads);
+  ParallelFaultSimulator evt(nl, 1);
+  ParallelFaultSimulator evt_mt(nl, threads);
 
   // Untimed warmup: one 64-pattern block through both engines warms the
   // allocator, so the timed rows measure steady-state simulation only.
@@ -164,7 +164,7 @@ CircuitTimes run_circuit(const Netlist& nl, const std::string& tag,
     // get; a pool wider than the host's cores runs on that many workers.
     std::printf("      event scaling:");
     for (const int t : {1, 2, 4, 8}) {
-      ThreadedFaultSimulator e(nl, t);
+      ParallelFaultSimulator e(nl, t);
       (void)e.run(warm, col.representatives, false);
       FaultSimResult r;
       // ".wall" suffix keeps the timer name distinct from the reported

@@ -15,8 +15,7 @@ Logic negate(Logic v) { return v == Logic::One ? Logic::Zero : Logic::One; }
 }  // namespace
 
 Podem::Podem(const Netlist& nl, int backtrack_limit)
-    : nl_(&nl),
-      backtrack_limit_(backtrack_limit),
+    : backtrack_limit_(backtrack_limit),
       cn_(nl),
       scoap_(compute_scoap(nl, ScoapMode::FullScan)),
       source_index_of_(nl.size(), -1),

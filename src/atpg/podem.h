@@ -71,8 +71,6 @@ class Podem {
 
   AtpgOutcome generate(const Fault& fault);
 
-  const Netlist& netlist() const { return *nl_; }
-
  private:
   struct Decision {
     std::size_t source_index;
@@ -101,7 +99,6 @@ class Podem {
   bool backtrace(GateId net, Logic value, std::size_t& source_index,
                  bool& set_to_one) const;
 
-  const Netlist* nl_;
   int backtrack_limit_;
   const guard::Budget* budget_ = nullptr;
   CompiledNetlist cn_;

@@ -1,25 +1,24 @@
 // Fault simulation (Sec. I-B).
 //
 // Engine hierarchy (all implement FaultSimEngine; see also deductive.h and
-// threaded_fault_sim.h):
+// threaded_fault_sim.h for the factories):
 //  * SerialFaultSimulator -- the textbook reference: one good-machine and one
 //    faulty-machine simulation per (pattern, fault) pair. "Fault simulation,
 //    with respect to run time, is similar to doing 3001 good machine
 //    simulations."
-//  * BasicParallelFaultSimulator<EB> -- parallel-pattern single-fault
-//    propagation (PPSFP): one pattern word (64 bits classic, 256/512 on the
-//    widened SIMD lanes -- sim/eval_backend.h) per block with fault
-//    dropping, propagated by the compiled-netlist event-driven selective
-//    trace, which only touches the difference frontier (see
-//    sim/event_sim.h). `ParallelFaultSimulator` names the classic 64-bit
-//    instantiation.
+//  * BasicParallelFaultSimulator<EB>(nl, threads) -- parallel-pattern
+//    single-fault propagation (PPSFP), the one fast engine at every thread
+//    count: one pattern word (64 bits classic, 256/512 on the widened SIMD
+//    lanes -- sim/eval_backend.h) per block with fault dropping, propagated
+//    by the compiled-netlist event-driven selective trace, which only
+//    touches the difference frontier (see sim/event_sim.h). Blocks run in
+//    order; in each block every worker's private machine loads the good
+//    machine, then the workers steal 64-fault chunks of the fault list. At
+//    one thread the same loop runs inline with no pool. Results and work
+//    counts are the same at every thread count and word width.
+//    `ParallelFaultSimulator` names the classic 64-bit instantiation.
 //  * DeductiveFaultSimulator (deductive.h) -- Armstrong-style fault-list
 //    propagation, the independent cross-check.
-//  * BasicThreadedFaultSimulator<EB> (threaded_fault_sim.h) -- the
-//    multi-threaded engine: one PPSFP machine per worker. Blocks run in
-//    order; within a block the workers share the fault list in 64-fault
-//    chunks. Results and work counts are the single machine's at any
-//    thread count and any word width.
 //
 // All use the combinational test model: primary inputs and storage outputs
 // are controllable (pseudo primary inputs), primary outputs and storage D
@@ -32,6 +31,7 @@
 #include <memory>
 #include <random>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.h"
@@ -43,6 +43,7 @@
 #include "sim/comb_sim.h"
 #include "sim/eval_backend.h"
 #include "sim/event_sim.h"
+#include "sim/thread_pool.h"
 
 namespace dft {
 
@@ -86,15 +87,15 @@ struct FaultSimResult {
 // implementations share:
 //  * `first_detected_by[i]` is the index of the first pattern detecting
 //    `faults[i]` (-1 if none) -- identical for every engine and, for the
-//    threaded engine, for every thread count;
+//    PPSFP engine, for every thread count;
 //  * `drop_detected` is a performance hint only: a detected fault is not
 //    simulated against later patterns. It never changes the result.
 //  * `budget` (optional) is polled cooperatively after each unit of work
 //    (a pattern block / fault / pattern, depending on the engine); on
 //    exhaustion or cancellation the engine returns the partial result with
-//    `status` set. The PPSFP engines (single-machine and threaded) stop at
-//    a block boundary, so a partial entry equals the full run's entry when
-//    that lies inside the charged pattern prefix and is -1 otherwise.
+//    `status` set. The PPSFP engine stops at a block boundary, so a
+//    partial entry equals the full run's entry when that lies inside the
+//    charged pattern prefix and is -1 otherwise.
 //    nullptr or an unlimited budget leaves behavior -- and results --
 //    exactly as before.
 class FaultSimEngine {
@@ -106,8 +107,8 @@ class FaultSimEngine {
                              bool drop_detected = true,
                              const guard::Budget* budget = nullptr) = 0;
 
-  // Short stable identifier ("serial", "event", "deductive",
-  // "threaded-event").
+  // Short stable identifier ("serial", "event", "deductive"); the PPSFP
+  // engine is "event" at every thread count.
   virtual std::string_view name() const = 0;
 
   // Patterns per simulation block: the natural batch size for callers that
@@ -191,14 +192,12 @@ class BasicParallelFaultSimulator : public FaultSimEngine {
   using Word = typename EB::Word;
   using Traits = WordTraits<Word>;
 
-  explicit BasicParallelFaultSimulator(const Netlist& nl);
-  // Machine over a prebuilt compiled snapshot -- the threaded engine
-  // compiles once and shares the (immutable) form across workers.
-  BasicParallelFaultSimulator(const Netlist& nl,
-                              std::shared_ptr<const CompiledNetlist> compiled);
-  explicit BasicParallelFaultSimulator(Netlist&&) = delete;  // would dangle
-  BasicParallelFaultSimulator(Netlist&&,
-                              std::shared_ptr<const CompiledNetlist>) = delete;
+  // `threads` workers (0 = one per hardware thread). The netlist is
+  // compiled once; every worker's machine reads that one immutable snapshot
+  // and the one observation-point set. Worker 0 is the calling thread, so
+  // the pool holds threads() - 1 OS threads and none at one thread.
+  explicit BasicParallelFaultSimulator(const Netlist& nl, int threads = 1);
+  explicit BasicParallelFaultSimulator(Netlist&&, int = 1) = delete;  // dangle
 
   // Patterns must be binary (use random_fill for X entries).
   FaultSimResult run(const std::vector<SourceVector>& patterns,
@@ -209,80 +208,63 @@ class BasicParallelFaultSimulator : public FaultSimEngine {
   std::string_view name() const override { return "event"; }
   int pattern_word_bits() const override { return Traits::kBits; }
 
+  int threads() const { return static_cast<int>(machines_.size()); }
+
   // Overrides the observation points. The default is the full-scan view
   // (primary outputs + every storage D net); restricting this models
   // partial observability (no-scan boards, Scan/Set sampling, nails).
+  // Throws std::out_of_range, leaving the engine unchanged, when any id is
+  // not a gate of the netlist.
   void set_observation_points(const std::vector<GateId>& observed);
   void reset_observation_points();
 
-  // --- Block-scoped entry points (the threaded engine's schedule) ---------
-  //
-  // run() above is a loop over pattern-word blocks; these expose one block
-  // at a time so the threaded engine can split a block's fault list across
-  // worker machines, each of which loads the block itself. Precondition:
-  // the pattern set has already passed validate_patterns(require_binary) --
-  // the threaded engine validates once up front, before any machine is
-  // touched.
-
-  // Packs patterns[base, base + count) into the source words
-  // (count <= Traits::kBits) and runs the good-machine pass; remembers the
-  // block window for run_block_faults.
-  void load_block(const std::vector<SourceVector>& patterns, std::size_t base,
-                  std::size_t count);
-
-  // Simulates faults[begin, end) against the loaded block. For a fault whose
-  // entry first[fi] is still -1, a detection at in-block bit b writes the
-  // global pattern index base + b there and increments `detected`. Blocks
-  // must run in pattern order, so the first write is the earliest
-  // detection at every word width. With drop_detected, a fault whose entry
-  // is already set is skipped. Returns the number of faults actually
-  // simulated (skips excluded).
-  std::size_t run_block_faults(const std::vector<Fault>& faults,
-                               std::size_t begin, std::size_t end,
-                               bool drop_detected, int* first,
-                               std::size_t& detected);
-
-  // Flushes tallies accumulated by the block-scoped calls into dft::obs
-  // (fault_sim.ppsfp.* / fault_sim.event.*), or drops them with obs off.
-  // Called by the driving thread after the pool barrier, never concurrently
-  // with the calls above.
-  void flush_block_obs();
-
  private:
-  Word detect_word(const Fault& f);
-  void load_words(const std::vector<SourceVector>& patterns, std::size_t base,
-                  std::size_t count);
-  void flush_event_obs();
+  // Faults per stolen chunk: small enough that the slow chunks of a block
+  // spread over every worker, large enough that the shared counter stays
+  // cold.
+  static constexpr std::size_t kChunk = 64;
 
-  const Netlist* nl_;
-  std::vector<char> observed_;
-  BasicEventSim<EB> ev_;
-
-  // Per-run event-kernel tallies, flushed to dft::obs once per run() --
-  // nothing per fault touches shared state (this code runs on worker
-  // threads under the threaded engine).
-  struct EventStats {
+  // One worker's tallies, summed into dft::obs once per run -- nothing per
+  // fault touches shared state.
+  struct Tallies {
     std::uint64_t gates_evaluated = 0;
+    std::uint64_t faults_simulated = 0;
     // death_depth[d] = faults whose difference frontier died d levels past
     // the origin (last bucket collects >= kDeathDepthBuckets-1).
     static constexpr int kDeathDepthBuckets = 16;
     std::array<std::uint64_t, kDeathDepthBuckets> death_depth{};
   };
-  EventStats event_stats_;
 
-  // Block-scoped state: the window load_block installed...
-  std::size_t block_base_ = 0;
-  Word block_valid_ = Traits::zeros();
-  // ...and the tallies the block-scoped calls accumulate until
-  // flush_block_obs() (run() keeps its own local tallies).
-  std::uint64_t tally_faults_ = 0;
-  std::uint64_t tally_dropped_ = 0;
-  // events_scheduled() watermark at the last obs flush, so run() and the
-  // block-scoped API flush deltas against the same running total.
-  std::uint64_t events_flushed_ = 0;
+  // One worker's private machine. Aligned so two workers' tallies never
+  // share a cache line.
+  struct alignas(64) Machine {
+    explicit Machine(std::shared_ptr<const CompiledNetlist> cn)
+        : ev(std::move(cn)) {}
+    BasicEventSim<EB> ev;
+    Tallies tallies;
+    // events_scheduled() when the current run started.
+    std::uint64_t events_mark = 0;
+  };
+
+  Word detect_word(Machine& m, const Fault& f) const;
+  // Packs patterns[base, base + count) into m's source words and runs its
+  // good-machine pass.
+  void load_block(Machine& m, const std::vector<SourceVector>& patterns,
+                  std::size_t base, std::size_t count) const;
+  void record_run_obs(const FaultSimResult& res, bool drop_detected,
+                      std::uint64_t blocks, int workers);
+
+  const Netlist* nl_;
+  std::vector<char> observed_;
+  std::vector<Machine> machines_;
+  // Workers a run may start: threads(), capped at the host's hardware
+  // threads -- a pool wider than the hardware only adds time-slicing and
+  // cache churn between per-worker machine states, never throughput.
+  int max_workers_ = 1;
+  std::unique_ptr<ThreadPool> pool_;  // threads() - 1 workers; null at 1
 };
 
-// The classic 64-pattern PPSFP machine every existing consumer names.
+// The classic 64-pattern PPSFP engine every existing consumer names.
 using ParallelFaultSimulator =
     BasicParallelFaultSimulator<ScalarEval<std::uint64_t>>;
 

@@ -5,8 +5,12 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
-#include <utility>
+#include <exception>
+#include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "fault/fault_sim.h"
 #include "obs/obs.h"
@@ -14,22 +18,33 @@
 namespace dft {
 
 template <typename EB>
-BasicParallelFaultSimulator<EB>::BasicParallelFaultSimulator(const Netlist& nl)
-    : BasicParallelFaultSimulator(
-          nl, std::make_shared<const CompiledNetlist>(nl)) {}
-
-template <typename EB>
-BasicParallelFaultSimulator<EB>::BasicParallelFaultSimulator(
-    const Netlist& nl, std::shared_ptr<const CompiledNetlist> compiled)
-    : nl_(&nl), observed_(nl.size(), 0), ev_(std::move(compiled)) {
+BasicParallelFaultSimulator<EB>::BasicParallelFaultSimulator(const Netlist& nl,
+                                                             int threads)
+    : nl_(&nl), observed_(nl.size(), 0) {
+  const int n = resolve_thread_count(threads);
+  max_workers_ = std::min(n, resolve_thread_count(0));
+  // One compiled snapshot serves every worker machine: it is immutable
+  // after construction, so concurrent reads need no synchronization.
+  const auto compiled = std::make_shared<const CompiledNetlist>(nl);
+  machines_.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) machines_.emplace_back(compiled);
+  if (n > 1) pool_ = std::make_unique<ThreadPool>(n - 1);
   reset_observation_points();
 }
 
 template <typename EB>
 void BasicParallelFaultSimulator<EB>::set_observation_points(
     const std::vector<GateId>& observed) {
+  for (GateId g : observed) {
+    if (g >= observed_.size()) {
+      throw std::out_of_range("observation point " + std::to_string(g) +
+                              " is not a gate of a " +
+                              std::to_string(observed_.size()) +
+                              "-gate netlist");
+    }
+  }
   std::fill(observed_.begin(), observed_.end(), 0);
-  for (GateId g : observed) observed_.at(g) = 1;
+  for (GateId g : observed) observed_[g] = 1;
 }
 
 template <typename EB>
@@ -43,7 +58,7 @@ void BasicParallelFaultSimulator<EB>::reset_observation_points() {
 
 template <typename EB>
 typename BasicParallelFaultSimulator<EB>::Word
-BasicParallelFaultSimulator<EB>::detect_word(const Fault& f) {
+BasicParallelFaultSimulator<EB>::detect_word(Machine& m, const Fault& f) const {
   const GateType t = nl_->type(f.gate);
   const Word forced = f.sa1 ? Traits::ones() : Traits::zeros();
 
@@ -52,18 +67,18 @@ BasicParallelFaultSimulator<EB>::detect_word(const Fault& f) {
   if (is_storage(t) && f.pin == kStoragePinD) {
     const GateId din = nl_->fanin(f.gate)[kStoragePinD];
     if (!observed_[din]) return Traits::zeros();
-    return ev_.good_word(din) ^ forced;
+    return m.ev.good_word(din) ^ forced;
   }
 
   Word faulty_site;
   if (f.pin < 0) {
     faulty_site = forced;
   } else {
-    faulty_site = ev_.eval_with_forced_pin(f.gate, f.pin, forced);
+    faulty_site = m.ev.eval_with_forced_pin(f.gate, f.pin, forced);
   }
-  const Word activation = faulty_site ^ ev_.good_word(f.gate);
+  const Word activation = faulty_site ^ m.ev.good_word(f.gate);
   if (!Traits::any(activation)) {
-    ++event_stats_.death_depth[0];
+    ++m.tallies.death_depth[0];
     return Traits::zeros();
   }
 
@@ -71,19 +86,17 @@ BasicParallelFaultSimulator<EB>::detect_word(const Fault& f) {
   if (observed_[f.gate]) detect = activation;
 
   const typename BasicEventSim<EB>::Propagation p =
-      ev_.propagate(f.gate, faulty_site, observed_);
-  event_stats_.gates_evaluated += p.gates_evaluated;
-  ++event_stats_.death_depth[static_cast<std::size_t>(std::min(
-      p.death_depth, EventStats::kDeathDepthBuckets - 1))];
+      m.ev.propagate(f.gate, faulty_site, observed_);
+  m.tallies.gates_evaluated += p.gates_evaluated;
+  ++m.tallies.death_depth[static_cast<std::size_t>(std::min(
+      p.death_depth, Tallies::kDeathDepthBuckets - 1))];
   return detect | p.detect;
 }
 
-// Packs patterns[base, base + count) into the source words and runs the
-// good-machine pass.
 template <typename EB>
-void BasicParallelFaultSimulator<EB>::load_words(
-    const std::vector<SourceVector>& patterns, std::size_t base,
-    std::size_t count) {
+void BasicParallelFaultSimulator<EB>::load_block(
+    Machine& m, const std::vector<SourceVector>& patterns, std::size_t base,
+    std::size_t count) const {
   const auto& pis = nl_->inputs();
   const auto& ffs = nl_->storage();
   const std::size_t ns = pis.size() + ffs.size();
@@ -92,70 +105,113 @@ void BasicParallelFaultSimulator<EB>::load_words(
     for (std::size_t b = 0; b < count; ++b) {
       if (patterns[base + b][s] == Logic::One) Traits::set_bit(w, b);
     }
-    ev_.set_source_word(s < pis.size() ? pis[s] : ffs[s - pis.size()], w);
+    m.ev.set_source_word(s < pis.size() ? pis[s] : ffs[s - pis.size()], w);
   }
-  ev_.evaluate_good();
+  m.ev.evaluate_good();
 }
 
+// The one schedule, at every thread count. Pattern-word blocks run in
+// order; in each block every worker loads the good machine itself, then
+// steals 64-fault chunks from a shared counter until the list is done. The
+// caller is worker 0 and pool_->wait() is the barrier between blocks; at
+// one worker the same loop runs inline.
+//
+// Chunks are disjoint and blocks are ordered, so each first_detected_by
+// entry has one writer per block and the first block that detects a fault
+// is the earliest; dropping skips a fault an earlier block detected. The
+// result and the work done (faults simulated, gates evaluated, events
+// scheduled) therefore do not depend on the thread count.
 template <typename EB>
 FaultSimResult BasicParallelFaultSimulator<EB>::run(
     const std::vector<SourceVector>& patterns, const std::vector<Fault>& faults,
     bool drop_detected, const guard::Budget* budget) {
   constexpr std::size_t kBits = static_cast<std::size_t>(Traits::kBits);
-  // All validation happens before any set_word: a malformed pattern in the
-  // middle of a block must not leave the simulator half-mutated.
+  // Validate before any machine is touched: a malformed pattern in the
+  // middle of a block must not leave the engine half-mutated.
   validate_patterns(*nl_, patterns, /*require_binary=*/true);
+
+  const std::size_t nf = faults.size();
+  const std::size_t nblocks = (patterns.size() + kBits - 1) / kBits;
+  const std::size_t nchunks = (nf + kChunk - 1) / kChunk;
+  // A worker with no chunk to steal would only load the good machine for
+  // nothing.
+  const int workers = std::min(max_workers_, static_cast<int>(nchunks));
   const bool guarded = budget != nullptr && budget->limited();
+  const bool observed = obs::enabled();
+  const bool progressing = progress_on();
+
+  for (Machine& m : machines_) {
+    m.tallies = Tallies{};
+    m.events_mark = m.ev.events_scheduled();
+  }
+  std::vector<obs::Histogram*> task_timers;
+  if (observed) {
+    for (int w = 0; w < workers; ++w) {
+      task_timers.push_back(&obs::Registry::global().timer(
+          "fault_sim.threaded.worker." + std::to_string(w) + ".task"));
+    }
+  }
 
   FaultSimResult res;
-  res.first_detected_by.assign(faults.size(), -1);
-
-  std::vector<std::size_t> alive(faults.size());
-  for (std::size_t i = 0; i < alive.size(); ++i) alive[i] = i;
-
-  // Local tallies flushed once at the end: this run() executes on worker
-  // threads under the threaded engine, so the loop must not touch shared
-  // counters.
+  res.first_detected_by.assign(nf, -1);
+  int* const first = res.first_detected_by.data();
+  std::atomic<std::size_t> detected{0};
   std::uint64_t blocks = 0;
-  std::uint64_t faults_simulated = 0;
-  std::uint64_t faults_dropped = 0;
-
-  // Per-run event-kernel tallies (flushed to obs below, never per fault).
-  event_stats_ = EventStats{};
-  events_flushed_ = ev_.events_scheduled();
-
-  for (std::size_t base = 0; base < patterns.size(); base += kBits) {
-    const std::size_t blk = std::min(kBits, patterns.size() - base);
-    load_words(patterns, base, blk);
-    const Word valid = Traits::prefix_mask(blk);
-
-    ++blocks;
-    faults_simulated += alive.size();
-    std::vector<std::size_t> still_alive;
-    still_alive.reserve(alive.size());
-    for (std::size_t fi : alive) {
-      const Word det = detect_word(faults[fi]) & valid;
-      const bool hit = Traits::any(det);
-      if (hit && res.first_detected_by[fi] < 0) {
-        res.first_detected_by[fi] =
-            static_cast<int>(base) + Traits::first_set(det);
-        ++res.num_detected;
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    const std::size_t base = b * kBits;
+    const std::size_t cnt = std::min(kBits, patterns.size() - base);
+    const Word valid = Traits::prefix_mask(cnt);
+    std::atomic<std::size_t> next{0};
+    const auto work = [&](int w) {
+      Machine& m = machines_[static_cast<std::size_t>(w)];
+      std::optional<obs::ScopedTimer> timer;
+      if (observed) timer.emplace(*task_timers[static_cast<std::size_t>(w)]);
+      load_block(m, patterns, base, cnt);
+      std::size_t found = 0;
+      for (;;) {
+        const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
+        if (c >= nchunks) break;
+        const std::size_t end = std::min(nf, (c + 1) * kChunk);
+        for (std::size_t fi = c * kChunk; fi < end; ++fi) {
+          if (drop_detected && first[fi] >= 0) continue;
+          ++m.tallies.faults_simulated;
+          const Word det = detect_word(m, faults[fi]) & valid;
+          if (first[fi] < 0 && Traits::any(det)) {
+            first[fi] = static_cast<int>(base) + Traits::first_set(det);
+            ++found;
+          }
+        }
       }
-      if (!hit || !drop_detected) still_alive.push_back(fi);
-      else ++faults_dropped;
+      detected.fetch_add(found, std::memory_order_relaxed);
+    };
+    for (int w = 1; w < workers; ++w) pool_->submit([&work, w] { work(w); });
+    // Worker 0's exception waits for the pool jobs, which use this frame's
+    // locals.
+    std::exception_ptr err;
+    try {
+      if (workers > 0) work(0);
+    } catch (...) {
+      err = std::current_exception();
     }
-    alive = std::move(still_alive);
-    if (progress_on()) {
-      emit_progress(static_cast<std::uint64_t>(base + blk), res.num_detected,
-                    faults.size(), blocks,
-                    (patterns.size() + kBits - 1) / kBits, budget);
+    // The barrier: every write of this block happens before the next block
+    // reads the entries (and before the caller sees the result).
+    if (workers > 1) pool_->wait();
+    if (err) std::rethrow_exception(err);
+    ++blocks;
+    res.num_detected = static_cast<int>(detected.load());
+    if (progressing) {
+      emit_progress(static_cast<std::uint64_t>(base + cnt), res.num_detected,
+                    nf, b + 1, nblocks, budget);
     }
-    if (alive.empty()) break;
-    // Poll at block granularity, after the block's detections are merged:
-    // an already-exhausted budget still gets one block of real work, so a
-    // partial run is never empty.
+    // Nothing left to simulate (every fault dropped, or none given).
+    if (static_cast<std::size_t>(res.num_detected) == nf &&
+        (drop_detected || nf == 0)) {
+      break;
+    }
+    // Poll after the block's detections are in: a partial covers a clean
+    // pattern prefix, and an exhausted budget still gets one block of work.
     if (guarded) {
-      budget->charge_patterns(blk);
+      budget->charge_patterns(cnt);
       const guard::RunStatus st = budget->poll();
       if (st != guard::RunStatus::Completed) {
         res.status = st;
@@ -163,103 +219,77 @@ FaultSimResult BasicParallelFaultSimulator<EB>::run(
       }
     }
   }
-  if (obs::enabled()) {
-    // The run-loop counters keep the fault_sim.ppsfp.* names at EVERY word
-    // width: they describe the PPSFP block algorithm, so dashboards and the
-    // report schema checks stay comparable across lanes and with the
-    // threaded engine. Propagation counters live under fault_sim.event.*;
-    // the lane itself is echoed under fault_sim.lanes.* and the
-    // sim.word_bits gauge.
-    obs::Registry& reg = obs::Registry::global();
-    reg.counter("fault_sim.ppsfp.runs").add(1);
-    reg.counter(std::string("fault_sim.lanes.") + std::string(EB::tag()))
-        .add(1);
-    reg.gauge("sim.word_bits").set(Traits::kBits);
-    reg.counter("fault_sim.ppsfp.pattern_blocks").add(blocks);
-    reg.counter("fault_sim.ppsfp.faults_simulated").add(faults_simulated);
-    reg.counter("fault_sim.ppsfp.faults_dropped").add(faults_dropped);
-    reg.counter("fault_sim.ppsfp.detections")
-        .add(static_cast<std::uint64_t>(res.num_detected));
-    record_final_coverage(res);
-    reg.counter("fault_sim.event.runs").add(1);
-    flush_event_obs();
-  }
+  if (observed) record_run_obs(res, drop_detected, blocks, workers);
   return res;
 }
 
-// Flushes the accumulated event-kernel tallies (events-scheduled delta
-// since the watermark, gates evaluated, the frontier-death histogram) and
-// resets them. Callers hold obs::enabled().
+// Every run-level counter, recorded once per run after the last barrier.
+// The fault_sim.ppsfp.* names describe the PPSFP block algorithm and keep
+// them at every word width and thread count, so reports stay comparable;
+// propagation counters live under fault_sim.event.*, the lane under
+// fault_sim.lanes.* and the sim.word_bits gauge, and the schedule under
+// fault_sim.threaded.*.
 template <typename EB>
-void BasicParallelFaultSimulator<EB>::flush_event_obs() {
+void BasicParallelFaultSimulator<EB>::record_run_obs(const FaultSimResult& res,
+                                                     bool drop_detected,
+                                                     std::uint64_t blocks,
+                                                     int workers) {
   obs::Registry& reg = obs::Registry::global();
-  reg.counter("fault_sim.event.events_scheduled")
-      .add(ev_.events_scheduled() - events_flushed_);
-  events_flushed_ = ev_.events_scheduled();
-  reg.counter("fault_sim.event.gates_evaluated")
-      .add(event_stats_.gates_evaluated);
-  // Frontier-death histogram: bucket d = fault words whose difference
-  // frontier died d levels past the fault site (d=0 includes faults
-  // never activated in the block). Flushed as counters so the whole
-  // run's distribution lands in one report.
-  for (int d = 0; d < EventStats::kDeathDepthBuckets; ++d) {
-    if (event_stats_.death_depth[static_cast<std::size_t>(d)] == 0) {
-      continue;
+  Tallies sum;
+  std::uint64_t events = 0;
+  for (std::size_t w = 0; w < machines_.size(); ++w) {
+    const Machine& m = machines_[w];
+    events += m.ev.events_scheduled() - m.events_mark;
+    sum.gates_evaluated += m.tallies.gates_evaluated;
+    sum.faults_simulated += m.tallies.faults_simulated;
+    for (std::size_t d = 0; d < sum.death_depth.size(); ++d) {
+      sum.death_depth[d] += m.tallies.death_depth[d];
     }
+    if (m.tallies.faults_simulated != 0) {
+      reg.counter("fault_sim.threaded.worker." + std::to_string(w) +
+                  ".faults")
+          .add(m.tallies.faults_simulated);
+    }
+  }
+  // The decomposition counter names the one schedule, so reports stay
+  // comparable with older ones.
+  reg.counter("fault_sim.threaded.runs").add(1);
+  reg.counter("fault_sim.threaded.decomposition.fault_chunk").add(1);
+  reg.gauge("fault_sim.threaded.workers").set(workers);
+  if (pool_) {
+    reg.gauge("thread_pool.max_queue_depth")
+        .set_max(static_cast<std::int64_t>(pool_->max_queue_depth()));
+  }
+
+  reg.counter("fault_sim.ppsfp.runs").add(1);
+  reg.counter(std::string("fault_sim.lanes.") + std::string(EB::tag())).add(1);
+  reg.gauge("sim.word_bits").set(Traits::kBits);
+  reg.counter("fault_sim.ppsfp.pattern_blocks").add(blocks);
+  reg.counter("fault_sim.ppsfp.faults_simulated").add(sum.faults_simulated);
+  // Dropping takes a fault out of every later block the moment it is
+  // detected, so each detection is one dropped fault -- counted once, not
+  // once per block that skips it.
+  const auto detections = static_cast<std::uint64_t>(res.num_detected);
+  reg.counter("fault_sim.ppsfp.faults_dropped")
+      .add(drop_detected ? detections : 0);
+  reg.counter("fault_sim.ppsfp.detections").add(detections);
+  record_final_coverage(res);
+
+  reg.counter("fault_sim.event.runs").add(1);
+  reg.counter("fault_sim.event.events_scheduled").add(events);
+  reg.counter("fault_sim.event.gates_evaluated").add(sum.gates_evaluated);
+  // Frontier-death histogram: bucket d = fault words whose difference
+  // frontier died d levels past the fault site (d=0 includes faults never
+  // activated in the block). Flushed as counters so the whole run's
+  // distribution lands in one report.
+  for (int d = 0; d < Tallies::kDeathDepthBuckets; ++d) {
+    const std::uint64_t n = sum.death_depth[static_cast<std::size_t>(d)];
+    if (n == 0) continue;
     char name[48];
     std::snprintf(name, sizeof(name), "fault_sim.event.death_depth.%02d%s", d,
-                  d == EventStats::kDeathDepthBuckets - 1 ? "_plus" : "");
-    reg.counter(name).add(
-        event_stats_.death_depth[static_cast<std::size_t>(d)]);
+                  d == Tallies::kDeathDepthBuckets - 1 ? "_plus" : "");
+    reg.counter(name).add(n);
   }
-  event_stats_ = EventStats{};
-}
-
-// --- Block-scoped entry points (threaded schedule) -------------------------
-
-template <typename EB>
-void BasicParallelFaultSimulator<EB>::load_block(
-    const std::vector<SourceVector>& patterns, std::size_t base,
-    std::size_t count) {
-  load_words(patterns, base, count);
-  block_base_ = base;
-  block_valid_ = Traits::prefix_mask(count);
-}
-
-template <typename EB>
-std::size_t BasicParallelFaultSimulator<EB>::run_block_faults(
-    const std::vector<Fault>& faults, std::size_t begin, std::size_t end,
-    bool drop_detected, int* first, std::size_t& detected) {
-  const int base = static_cast<int>(block_base_);
-  std::size_t simulated = 0;
-  for (std::size_t fi = begin; fi < end; ++fi) {
-    if (drop_detected && first[fi] >= 0) {
-      ++tally_dropped_;
-      continue;
-    }
-    ++simulated;
-    const Word det = detect_word(faults[fi]) & block_valid_;
-    if (first[fi] < 0 && Traits::any(det)) {
-      first[fi] = base + Traits::first_set(det);
-      ++detected;
-    }
-  }
-  tally_faults_ += simulated;
-  return simulated;
-}
-
-template <typename EB>
-void BasicParallelFaultSimulator<EB>::flush_block_obs() {
-  if (obs::enabled()) {
-    obs::Registry& reg = obs::Registry::global();
-    reg.counter("fault_sim.ppsfp.faults_simulated").add(tally_faults_);
-    reg.counter("fault_sim.ppsfp.faults_dropped").add(tally_dropped_);
-    flush_event_obs();
-  } else {
-    event_stats_ = EventStats{};
-    events_flushed_ = ev_.events_scheduled();
-  }
-  tally_faults_ = tally_dropped_ = 0;
 }
 
 }  // namespace dft

@@ -1,11 +1,10 @@
 // Wide-lane engine instantiations and the lane-aware factory.
 //
 // This is the only TU in the library that compiles the 256/512-bit
-// instantiations of the PPSFP engine stack (simulators and the threaded
-// engine) -- everything else sees only the extern-template'd
-// 64-bit machines, so the wide templates cost nothing where they are not
-// used. The factory maps a simd::Lane onto a backend type; unsupported ISA
-// lanes degrade to the same-width scalar backend, mirroring
+// instantiations of the PPSFP engine -- everything else sees only the
+// extern-template'd 64-bit engine, so the wide templates cost nothing where
+// they are not used. The factory maps a simd::Lane onto a backend type;
+// unsupported ISA lanes degrade to the same-width scalar backend, mirroring
 // simd::resolve_lane's policy for forced values, so a caller can pass any
 // Lane on any host and always get a working, bit-identical engine.
 #include <stdexcept>
@@ -16,24 +15,17 @@
 namespace dft {
 
 template class BasicParallelFaultSimulator<ScalarEval<PatternWord<4>>>;
-template class BasicThreadedFaultSimulator<ScalarEval<PatternWord<4>>>;
 template class BasicParallelFaultSimulator<ScalarEval<PatternWord<8>>>;
-template class BasicThreadedFaultSimulator<ScalarEval<PatternWord<8>>>;
 #if DFT_SIMD_X86
 template class BasicParallelFaultSimulator<Avx2Eval>;
-template class BasicThreadedFaultSimulator<Avx2Eval>;
 template class BasicParallelFaultSimulator<Avx512Eval>;
-template class BasicThreadedFaultSimulator<Avx512Eval>;
 #endif
 
 namespace {
 
 template <typename EB>
 std::unique_ptr<FaultSimEngine> make_engine(const Netlist& nl, int threads) {
-  if (threads == 1) {
-    return std::make_unique<BasicParallelFaultSimulator<EB>>(nl);
-  }
-  return std::make_unique<BasicThreadedFaultSimulator<EB>>(nl, threads);
+  return std::make_unique<BasicParallelFaultSimulator<EB>>(nl, threads);
 }
 
 }  // namespace

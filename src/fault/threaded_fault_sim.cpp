@@ -1,17 +1,11 @@
 #include "fault/threaded_fault_sim.h"
 
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 
 #include "fault/deductive.h"
 
 namespace dft {
-
-// The classic 64-pattern engine, compiled once here so the header's extern
-// template keeps every consumer TU from re-instantiating it (wide lanes
-// compile in simd_lanes.cpp).
-template class BasicThreadedFaultSimulator<ScalarEval<std::uint64_t>>;
 
 std::unique_ptr<FaultSimEngine> make_fault_sim_engine(const Netlist& nl,
                                                       int threads) {

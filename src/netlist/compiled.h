@@ -14,8 +14,8 @@
 //     event-driven fault kernel indexes levels directly into it.
 //
 // The snapshot shares nothing with the source netlist and never mutates, so
-// any number of worker threads can read one instance concurrently
-// (ThreadedFaultSimulator builds one and hands it to every machine).
+// any number of worker threads can read one instance concurrently (the
+// PPSFP fault simulator builds one and hands it to every worker's machine).
 // Accessors are asserted, not bounds-checked: callers index with ids the
 // snapshot itself handed out.
 #pragma once

@@ -3,8 +3,8 @@
 // A million-gate ATPG or fault-sim job is otherwise a black box until the
 // final dft-obs-report: ProgressSink turns the cooperative points every long
 // engine already has (the guard::Budget poll sites in PODEM/D-alg, the
-// serial/PPSFP/event fault simulators, the threaded engine's block
-// boundaries, random TPG, and BIST grading) into a schema-versioned stream
+// serial fault simulator, the PPSFP engine's block boundaries, random TPG,
+// and BIST grading) into a schema-versioned stream
 // of one JSON object per line:
 //
 //   {"schema":"dft-obs-progress","version":1,"seq":3,"phase":"random_tpg",

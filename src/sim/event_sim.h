@@ -14,7 +14,9 @@
 // carries (sim/eval_backend.h): 64 patterns classic, 256/512 widened.
 //
 // One machine is one single-threaded machine (like BasicParallelSim); the
-// CompiledNetlist behind it is immutable and may be shared across machines.
+// CompiledNetlist behind it is immutable and may be shared across machines
+// -- the PPSFP fault simulator gives each worker its own BasicEventSim over
+// one shared snapshot.
 #pragma once
 
 #include <algorithm>

@@ -1,9 +1,9 @@
 // Event-driven fault-sim kernel: differential fuzzing against the
 // independent oracles. The event kernel is an optimization with an exact
 // contract -- bit-identical first_detected_by against serial, deductive,
-// and the threaded wrappers at any thread count, with and without fault
-// dropping -- so the whole test is "same answer, every engine, on circuits
-// none of them has seen".
+// and itself at any thread count, with and without fault dropping -- so
+// the whole test is "same answer, every engine, on circuits none of them
+// has seen".
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -46,9 +46,9 @@ TEST(EventKernelFuzz, AllEnginesAgreeOnRandomDags) {
     spec.seed = meta();
     const Netlist nl = make_random_combinational(spec);
     const auto faults = enumerate_faults(nl);
-    // 1-3 word blocks, so the threaded engine's in-order block schedule
-    // sees single-block, exact-multiple and ragged-tail runs across the fuzz
-    // space; with no sequential cutoff every thread count runs it.
+    // 1-3 word blocks, so the engine's in-order block schedule sees
+    // single-block, exact-multiple and ragged-tail runs across the fuzz
+    // space at every thread count.
     const auto pats = random_patterns(nl, 64 + static_cast<int>(meta() % 129),
                                       meta());
 
@@ -69,7 +69,7 @@ TEST(EventKernelFuzz, AllEnginesAgreeOnRandomDags) {
     ASSERT_EQ(ref.first_detected_by, ded.run(pats, faults).first_detected_by);
 
     for (int threads : {1, 2, 8}) {
-      ThreadedFaultSimulator tsim(nl, threads);
+      ParallelFaultSimulator tsim(nl, threads);
       const auto rt = tsim.run(pats, faults);
       ASSERT_EQ(ref.first_detected_by, rt.first_detected_by)
           << threads << " threads";
@@ -249,9 +249,9 @@ TEST(EventKernel, MalformedPatternLeavesEngineIntact) {
 TEST(EngineFactory, SelectsEngineByName) {
   const Netlist nl = make_c17();
   EXPECT_EQ(make_fault_sim_engine(nl, "", 1)->name(), "event");
-  EXPECT_EQ(make_fault_sim_engine(nl, "", 4)->name(), "threaded-event");
+  EXPECT_EQ(make_fault_sim_engine(nl, "", 4)->name(), "event");
   EXPECT_EQ(make_fault_sim_engine(nl, "event", 1)->name(), "event");
-  EXPECT_EQ(make_fault_sim_engine(nl, "event", 2)->name(), "threaded-event");
+  EXPECT_EQ(make_fault_sim_engine(nl, "event", 2)->name(), "event");
   EXPECT_EQ(make_fault_sim_engine(nl, "serial", 1)->name(), "serial");
   EXPECT_EQ(make_fault_sim_engine(nl, "deductive", 1)->name(), "deductive");
 }

@@ -1,11 +1,13 @@
-// Threaded fault simulation: determinism against the other engines at
-// several thread counts, the ThreadPool primitive itself, and regression
+// Multi-worker fault simulation: determinism of the PPSFP engine against
+// the other engines at several thread counts, its thread and observation-
+// point contracts, the ThreadPool primitive itself, and regression
 // tests for the engine-contract fixes (hoisted pattern validation, the
 // serial drop_detected flag, weighted-random weight checking).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -154,7 +156,7 @@ TEST_P(AllEnginesAgree, IdenticalDetectionOnRandomCombinational) {
   ASSERT_EQ(ref.first_detected_by, rd.first_detected_by);
 
   for (int threads : {1, 2, 8}) {
-    ThreadedFaultSimulator tsim(nl, threads);
+    ParallelFaultSimulator tsim(nl, threads);
     ASSERT_EQ(tsim.threads(), threads);
     const auto rt = tsim.run(pats, faults);
     ASSERT_EQ(ref.num_detected, rt.num_detected) << threads << " threads";
@@ -181,7 +183,7 @@ TEST(ThreadedFaultSim, MatchesPpsfpOnSequentialCaptureModel) {
   ParallelFaultSimulator psim(nl);
   const auto ref = psim.run(pats, faults);
   for (int threads : {2, 5}) {
-    ThreadedFaultSimulator tsim(nl, threads);
+    ParallelFaultSimulator tsim(nl, threads);
     const auto rt = tsim.run(pats, faults);
     EXPECT_EQ(ref.num_detected, rt.num_detected);
     EXPECT_EQ(ref.first_detected_by, rt.first_detected_by);
@@ -196,7 +198,7 @@ TEST(ThreadedFaultSim, MoreWorkersThanFaults) {
   for (int i = 0; i < 20; ++i) pats.push_back(random_source_vector(nl, rng));
   ParallelFaultSimulator psim(nl);
   const auto ref = psim.run(pats, faults);
-  ThreadedFaultSimulator tsim(nl, static_cast<int>(faults.size()) + 13);
+  ParallelFaultSimulator tsim(nl, static_cast<int>(faults.size()) + 13);
   const auto rt = tsim.run(pats, faults);
   EXPECT_EQ(ref.first_detected_by, rt.first_detected_by);
   // Empty fault list and empty pattern list are fine too.
@@ -217,7 +219,7 @@ TEST(ThreadedFaultSim, ForwardsObservationPoints) {
   psim.set_observation_points(observed);
   const auto ref = psim.run(pats, faults);
 
-  ThreadedFaultSimulator tsim(nl, 3);
+  ParallelFaultSimulator tsim(nl, 3);
   tsim.set_observation_points(observed);
   EXPECT_EQ(ref.first_detected_by, tsim.run(pats, faults).first_detected_by);
 
@@ -230,11 +232,21 @@ TEST(ThreadedFaultSim, ForwardsObservationPoints) {
 }
 
 TEST(ThreadedFaultSim, FactorySelectsEngineByThreadCount) {
+  // One engine at every thread count: the factory passes the count through
+  // and the name does not change with it.
   const Netlist nl = make_c17();
-  const auto one = make_fault_sim_engine(nl, 1);
-  const auto four = make_fault_sim_engine(nl, 4);
+  const auto one =
+      make_fault_sim_engine(nl, 1, FaultSimKernel::Event, simd::Lane::Off);
+  const auto four =
+      make_fault_sim_engine(nl, 4, FaultSimKernel::Event, simd::Lane::Off);
   EXPECT_EQ(one->name(), "event");
-  EXPECT_EQ(four->name(), "threaded-event");
+  EXPECT_EQ(four->name(), "event");
+  const auto* p1 = dynamic_cast<const ParallelFaultSimulator*>(one.get());
+  const auto* p4 = dynamic_cast<const ParallelFaultSimulator*>(four.get());
+  ASSERT_NE(p1, nullptr);
+  ASSERT_NE(p4, nullptr);
+  EXPECT_EQ(p1->threads(), 1);
+  EXPECT_EQ(p4->threads(), 4);
   const auto faults = collapse_faults(nl).representatives;
   std::mt19937_64 rng(1);
   std::vector<SourceVector> pats;
@@ -242,6 +254,70 @@ TEST(ThreadedFaultSim, FactorySelectsEngineByThreadCount) {
   const auto r1 = one->run(pats, faults);
   const auto r4 = four->run(pats, faults);
   EXPECT_EQ(r1.first_detected_by, r4.first_detected_by);
+}
+
+// A rejected observation-point update leaves the engine as it was: every
+// id is checked before any is written, and the workers share one set.
+TEST(ThreadedFaultSim, RejectedObservationUpdateLeavesEngineUnchanged) {
+  RandomCircuitSpec spec;
+  spec.num_inputs = 24;
+  spec.num_outputs = 12;
+  spec.num_gates = 400;
+  spec.max_fanin = 4;
+  spec.seed = 12;
+  const Netlist nl = make_random_combinational(spec);
+  const auto faults = enumerate_faults(nl);
+  std::mt19937_64 rng(12);
+  std::vector<SourceVector> pats;
+  for (int i = 0; i < 256; ++i) pats.push_back(random_source_vector(nl, rng));
+  const std::vector<GateId> bad = {nl.outputs().front(),
+                                   static_cast<GateId>(nl.size() + 5)};
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ParallelFaultSimulator sim(nl, threads);
+    const auto before = sim.run(pats, faults);
+    EXPECT_THROW(sim.set_observation_points(bad), std::out_of_range);
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto after = sim.run(pats, faults);
+      EXPECT_EQ(after.num_detected, before.num_detected);
+      EXPECT_EQ(after.first_detected_by, before.first_detected_by);
+    }
+  }
+}
+
+#if defined(__linux__)
+// OS threads of this process, counted from /proc/self/task; -1 when the
+// directory cannot be read.
+int task_count() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  int n = 0;
+  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    if (ec) return -1;
+    ++n;
+  }
+  return n;
+}
+#endif
+
+// The caller is worker 0, so the pool starts one OS thread fewer than the
+// requested worker count, and none at one worker.
+TEST(ThreadedFaultSim, PoolStartsOneThreadFewerThanWorkers) {
+#if defined(__linux__)
+  const Netlist nl = make_c17();
+  const int base = task_count();
+  if (base < 0) GTEST_SKIP() << "/proc/self/task is not readable";
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ParallelFaultSimulator sim(nl, threads);
+    EXPECT_EQ(sim.threads(), threads);
+    EXPECT_EQ(task_count() - base, threads - 1);
+  }
+  EXPECT_EQ(task_count(), base);
+#else
+  GTEST_SKIP() << "counts threads through /proc/self/task (Linux only)";
+#endif
 }
 
 // --- Every thread count agrees at every word width ------------------------
@@ -282,7 +358,7 @@ void check_thread_counts_for_backend(const char* tag) {
   const auto ref = ref_engine.run(in.pats, in.faults);
   for (int threads : {1, 2, 4, 8}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
-    BasicThreadedFaultSimulator<EB> tsim(in.nl, threads);
+    BasicParallelFaultSimulator<EB> tsim(in.nl, threads);
     const auto r = tsim.run(in.pats, in.faults);
     ASSERT_EQ(ref.num_detected, r.num_detected);
     ASSERT_EQ(ref.first_detected_by, r.first_detected_by);
@@ -314,17 +390,22 @@ struct WorkCounts {
   std::uint64_t events = 0;
   std::uint64_t faults = 0;
   std::uint64_t blocks = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t detections = 0;
 
   static WorkCounts read() {
     obs::Registry& reg = obs::Registry::global();
     return {reg.counter("fault_sim.event.gates_evaluated").value(),
             reg.counter("fault_sim.event.events_scheduled").value(),
             reg.counter("fault_sim.ppsfp.faults_simulated").value(),
-            reg.counter("fault_sim.ppsfp.pattern_blocks").value()};
+            reg.counter("fault_sim.ppsfp.pattern_blocks").value(),
+            reg.counter("fault_sim.ppsfp.faults_dropped").value(),
+            reg.counter("fault_sim.ppsfp.detections").value()};
   }
   WorkCounts operator-(const WorkCounts& o) const {
-    return {gates - o.gates, events - o.events, faults - o.faults,
-            blocks - o.blocks};
+    return {gates - o.gates,     events - o.events,
+            faults - o.faults,   blocks - o.blocks,
+            dropped - o.dropped, detections - o.detections};
   }
 };
 
@@ -336,29 +417,35 @@ WorkCounts counted_run(Engine& eng, const ManyBlockInput& in, bool drop) {
 }
 
 // Blocks run in order and every fault is simulated by one worker per
-// block, so the threaded engine does the single machine's work: the same
+// block, so every thread count does the one-thread engine's work: the same
 // faults simulated (cross-block drops included), gates evaluated, events
-// scheduled, and pattern blocks counted once each.
+// scheduled, and pattern blocks counted once each. A dropped fault is
+// counted once, when it is detected, not again in each block that skips
+// it.
 template <typename EB>
 void check_work_counts_for_backend(const char* tag) {
   SCOPED_TRACE(tag);
   obs::set_enabled(true);
   const ManyBlockInput in = many_block_input();
-  BasicParallelFaultSimulator<EB> single(in.nl);
+  BasicParallelFaultSimulator<EB> single(in.nl, 1);
   for (bool drop : {true, false}) {
     SCOPED_TRACE(drop ? "dropping" : "no dropping");
     const WorkCounts ref = counted_run(single, in, drop);
     ASSERT_GT(ref.gates, 0u);
     const std::size_t bits = BasicParallelFaultSimulator<EB>::Traits::kBits;
     ASSERT_EQ(ref.blocks, (in.pats.size() + bits - 1) / bits);
-    for (int threads : {1, 2, 4, 8}) {
+    ASSERT_GT(ref.detections, 0u);
+    EXPECT_EQ(ref.dropped, drop ? ref.detections : 0u);
+    for (int threads : {2, 4, 8}) {
       SCOPED_TRACE(std::to_string(threads) + " threads");
-      BasicThreadedFaultSimulator<EB> tsim(in.nl, threads);
+      BasicParallelFaultSimulator<EB> tsim(in.nl, threads);
       const WorkCounts got = counted_run(tsim, in, drop);
       EXPECT_EQ(got.gates, ref.gates);
       EXPECT_EQ(got.events, ref.events);
       EXPECT_EQ(got.faults, ref.faults);
       EXPECT_EQ(got.blocks, ref.blocks);
+      EXPECT_EQ(got.dropped, ref.dropped);
+      EXPECT_EQ(got.detections, ref.detections);
     }
   }
 }
@@ -406,7 +493,7 @@ TEST(ThreadedFaultSim, BudgetPartialIsACleanPrefixAtEveryThreadCount) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
     guard::Budget budget;
     budget.set_pattern_limit(100);
-    ThreadedFaultSimulator tsim(nl, threads);
+    ParallelFaultSimulator tsim(nl, threads);
     const auto r = tsim.run(pats, faults, /*drop_detected=*/true, &budget);
     EXPECT_EQ(r.status, guard::RunStatus::DeadlineExpired);
     EXPECT_TRUE(guard::interrupted(r.status));
@@ -460,8 +547,8 @@ TEST(PatternValidation, MalformedPatternMidBlockLeavesEngineIntact) {
   after = psim.run(pats, faults);
   EXPECT_EQ(good.first_detected_by, after.first_detected_by);
 
-  // The threaded engine validates before dispatching to any worker.
-  ThreadedFaultSimulator tsim(nl, 2);
+  // A multi-worker engine validates before dispatching to any worker.
+  ParallelFaultSimulator tsim(nl, 2);
   EXPECT_THROW(tsim.run(bad, faults), std::invalid_argument);
   EXPECT_EQ(good.first_detected_by, tsim.run(pats, faults).first_detected_by);
 
