@@ -397,8 +397,8 @@ int main(int argc, char** argv) {
                           {{"smoke", smoke ? "1" : "0"}})) {
     return 1;
   }
-  // The inversion gate: blocks in order with every worker stealing 64-fault
-  // chunks, the threaded run must never be slower than the single-threaded
+  // The inversion gate: blocks in order with every worker stealing stem
+  // regions, the threaded run must never be slower than the single-threaded
   // one on the largest circuit.
   // Smoke rows are micro-second scale and too noisy to gate here; ctest
   // gates the fresh smoke artifact at a noise tolerance and the committed

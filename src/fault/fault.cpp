@@ -1,8 +1,8 @@
 #include "fault/fault.h"
 
 #include <algorithm>
+#include <cassert>
 #include <numeric>
-#include <unordered_map>
 
 namespace dft {
 
@@ -70,16 +70,25 @@ std::vector<Fault> enumerate_faults(const Netlist& nl) {
 CollapseResult collapse_faults(const Netlist& nl) {
   CollapseResult res;
   res.universe = enumerate_faults(nl);
-  std::unordered_map<Fault, std::size_t, FaultHash> index;
-  index.reserve(res.universe.size() * 2);
-  for (std::size_t i = 0; i < res.universe.size(); ++i) {
-    index.emplace(res.universe[i], i);
+  const std::size_t nu = res.universe.size();
+  // Dense fault index: site (g, pin, sa1) is slot site_begin[g] +
+  // 2 * (pin + 1) + sa1, holding its universe index or kAbsent.
+  constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> site_begin(nl.size() + 1, 0);
+  for (GateId g = 0; g < nl.size(); ++g) {
+    site_begin[g + 1] = site_begin[g] + 2 * (nl.fanin(g).size() + 1);
   }
-  UnionFind uf(res.universe.size());
+  const auto slot_of = [&](const Fault& f) {
+    return site_begin[f.gate] + 2 * static_cast<std::size_t>(f.pin + 1) +
+           (f.sa1 ? 1 : 0);
+  };
+  std::vector<std::size_t> index(site_begin.back(), kAbsent);
+  for (std::size_t i = 0; i < nu; ++i) index[slot_of(res.universe[i])] = i;
+  UnionFind uf(nu);
   auto unite = [&](const Fault& a, const Fault& b) {
-    auto ia = index.find(a);
-    auto ib = index.find(b);
-    if (ia != index.end() && ib != index.end()) uf.unite(ia->second, ib->second);
+    const std::size_t ia = index[slot_of(a)];
+    const std::size_t ib = index[slot_of(b)];
+    if (ia != kAbsent && ib != kAbsent) uf.unite(ia, ib);
   };
 
   // Rule 1: a stem with exactly one sink connection is the same net as that
@@ -133,35 +142,18 @@ CollapseResult collapse_faults(const Netlist& nl) {
   }
 
   // Extract representatives: the smallest member of each class.
-  std::unordered_map<std::size_t, std::size_t> best;  // root -> universe index
-  for (std::size_t i = 0; i < res.universe.size(); ++i) {
-    const std::size_t r = uf.find(i);
-    auto it = best.find(r);
-    if (it == best.end() || res.universe[i] < res.universe[it->second]) {
-      best[r] = i;
+  // enumerate_faults lists the universe in ascending order, so a class's
+  // first member is its smallest and the representatives come out sorted.
+  assert(std::is_sorted(res.universe.begin(), res.universe.end()));
+  std::vector<int> rep_of_root(nu, -1);
+  res.rep_index_of_universe.resize(nu);
+  for (std::size_t i = 0; i < nu; ++i) {
+    int& rep = rep_of_root[uf.find(i)];
+    if (rep < 0) {
+      rep = static_cast<int>(res.representatives.size());
+      res.representatives.push_back(res.universe[i]);
     }
-  }
-  std::unordered_map<std::size_t, int> rep_slot;  // root -> representative idx
-  for (std::size_t i = 0; i < res.universe.size(); ++i) {
-    const std::size_t r = uf.find(i);
-    if (rep_slot.find(r) == rep_slot.end()) {
-      rep_slot[r] = static_cast<int>(res.representatives.size());
-      res.representatives.push_back(res.universe[best[r]]);
-    }
-  }
-  res.rep_index_of_universe.resize(res.universe.size());
-  for (std::size_t i = 0; i < res.universe.size(); ++i) {
-    res.rep_index_of_universe[i] = rep_slot[uf.find(i)];
-  }
-  std::sort(res.representatives.begin(), res.representatives.end());
-  // Re-map after sort.
-  std::unordered_map<Fault, int, FaultHash> pos;
-  for (std::size_t i = 0; i < res.representatives.size(); ++i) {
-    pos[res.representatives[i]] = static_cast<int>(i);
-  }
-  for (std::size_t i = 0; i < res.universe.size(); ++i) {
-    const std::size_t r = uf.find(i);
-    res.rep_index_of_universe[i] = pos[res.universe[best[r]]];
+    res.rep_index_of_universe[i] = rep;
   }
   return res;
 }

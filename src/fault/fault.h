@@ -43,7 +43,8 @@ std::string fault_name(const Netlist& nl, const Fault& f);
 //     D pin (observed by scan capture).
 // Scan-in pins and Output-gate pins are excluded: the former are covered by
 // the scan-chain flush test, the latter are equivalent to their driver's
-// output faults.
+// output faults. The list is in ascending Fault order (by gate, the output
+// before the pins, s-a-0 before s-a-1).
 std::vector<Fault> enumerate_faults(const Netlist& nl);
 
 // Structural equivalence collapsing (Sec. I-B "fault equivalencing",

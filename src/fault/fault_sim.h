@@ -9,13 +9,21 @@
 //  * BasicParallelFaultSimulator<EB>(nl, threads) -- parallel-pattern
 //    single-fault propagation (PPSFP), the one fast engine at every thread
 //    count: one pattern word (64 bits classic, 256/512 on the widened SIMD
-//    lanes -- sim/eval_backend.h) per block with fault dropping, propagated
-//    by the compiled-netlist event-driven selective trace, which only
-//    touches the difference frontier (see sim/event_sim.h). Blocks run in
-//    order; in each block every worker's private machine loads the good
-//    machine, then the workers steal 64-fault chunks of the fault list. At
-//    one thread the same loop runs inline with no pool. Results and work
-//    counts are the same at every thread count and word width.
+//    lanes -- sim/eval_backend.h) per block with fault dropping. Faults are
+//    simulated by stem region (Lee and Ha, ITC 1991): a gate with one
+//    combinational fanout that is not observed belongs to the fanout-free
+//    region of that fanout; every other gate is a stem heading its own
+//    region. Per block the good machine is evaluated once and shared, then
+//    the workers steal regions. A region is traced backwards from its stem
+//    (critical path tracing, Abramovici, Menon and Miller, IEEE D&T 1984),
+//    which gives each gate the patterns in which flipping it flips the
+//    stem, and the stem is propagated once by the compiled-netlist
+//    event-driven selective trace (sim/event_sim.h) in the patterns where
+//    some live fault of the region reaches it. A fault's detect word is its
+//    activation AND its sensitization to the stem AND the stem's
+//    observability -- exact per bit, since each bit is one single-fault
+//    machine and a region is a tree. Results and work counts are the same
+//    at every thread count and word width.
 //    `ParallelFaultSimulator` names the classic 64-bit instantiation.
 //  * DeductiveFaultSimulator (deductive.h) -- Armstrong-style fault-list
 //    propagation, the independent cross-check.
@@ -30,6 +38,7 @@
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -199,7 +208,9 @@ class BasicParallelFaultSimulator : public FaultSimEngine {
   explicit BasicParallelFaultSimulator(const Netlist& nl, int threads = 1);
   explicit BasicParallelFaultSimulator(Netlist&&, int = 1) = delete;  // dangle
 
-  // Patterns must be binary (use random_fill for X entries).
+  // Patterns must be binary (use random_fill for X entries). A fault whose
+  // gate or pin is not in the netlist throws std::out_of_range before any
+  // state changes.
   FaultSimResult run(const std::vector<SourceVector>& patterns,
                      const std::vector<Fault>& faults,
                      bool drop_detected = true,
@@ -210,33 +221,47 @@ class BasicParallelFaultSimulator : public FaultSimEngine {
 
   int threads() const { return static_cast<int>(machines_.size()); }
 
-  // Overrides the observation points. The default is the full-scan view
-  // (primary outputs + every storage D net); restricting this models
-  // partial observability (no-scan boards, Scan/Set sampling, nails).
-  // Throws std::out_of_range, leaving the engine unchanged, when any id is
-  // not a gate of the netlist.
+  // Overrides the observation points and rebuilds the stem regions they
+  // bound. The default is the full-scan view (primary outputs + every
+  // storage D net); restricting this models partial observability (no-scan
+  // boards, Scan/Set sampling, nails). Throws std::out_of_range, leaving
+  // the engine unchanged, when any id is not a gate of the netlist.
   void set_observation_points(const std::vector<GateId>& observed);
   void reset_observation_points();
 
  private:
-  // Faults per stolen chunk: small enough that the slow chunks of a block
-  // spread over every worker, large enough that the shared counter stays
-  // cold.
-  static constexpr std::size_t kChunk = 64;
+  // The fanout-free regions of the netlist under the current observation
+  // points. A gate is a member of its fanout's region when it has exactly
+  // one fanout entry, that fanout is combinational and the gate is not
+  // observed; every other gate is a stem and heads a region of its own.
+  // Each region is a tree rooted at its stem.
+  struct Regions {
+    std::vector<std::uint32_t> region_of;  // per gate
+    // Per gate: its index within its region (the stem is 0), which
+    // addresses the per-worker sensitization words.
+    std::vector<std::uint32_t> local_of;
+    // Per member: the gate it feeds and the pin; kNoGate for a stem.
+    std::vector<GateId> sink_of;
+    std::vector<std::int32_t> pin_of;
+    std::vector<GateId> stem;  // per region
+    std::uint32_t widest = 0;  // gates in the largest region
+  };
 
   // One worker's tallies, summed into dft::obs once per run -- nothing per
   // fault touches shared state.
   struct Tallies {
     std::uint64_t gates_evaluated = 0;
     std::uint64_t faults_simulated = 0;
-    // death_depth[d] = faults whose difference frontier died d levels past
-    // the origin (last bucket collects >= kDeathDepthBuckets-1).
+    std::uint64_t stems_propagated = 0;
+    // death_depth[d] = regions whose stem difference died d levels past
+    // the stem (last bucket collects >= kDeathDepthBuckets-1; bucket 0 also
+    // holds regions none of whose live faults reached the stem).
     static constexpr int kDeathDepthBuckets = 16;
     std::array<std::uint64_t, kDeathDepthBuckets> death_depth{};
   };
 
-  // One worker's private machine. Aligned so two workers' tallies never
-  // share a cache line.
+  // One worker's private machine and region workspace. Aligned so two
+  // workers' tallies never share a cache line.
   struct alignas(64) Machine {
     explicit Machine(std::shared_ptr<const CompiledNetlist> cn)
         : ev(std::move(cn)) {}
@@ -244,18 +269,43 @@ class BasicParallelFaultSimulator : public FaultSimEngine {
     Tallies tallies;
     // events_scheduled() when the current run started.
     std::uint64_t events_mark = 0;
+    // Sensitization to the stem by local index, valid where sens_stamp
+    // equals epoch (one epoch per region visit).
+    std::vector<Word> sens;
+    std::vector<std::uint32_t> sens_stamp;
+    std::uint32_t epoch = 0;
+    std::vector<GateId> path;
+    // The live faults of the current region whose effect reaches the stem.
+    std::vector<std::uint32_t> reaching;
   };
 
-  Word detect_word(Machine& m, const Fault& f) const;
-  // Packs patterns[base, base + count) into m's source words and runs its
-  // good-machine pass.
-  void load_block(Machine& m, const std::vector<SourceVector>& patterns,
-                  std::size_t base, std::size_t count) const;
+  static Regions build_regions(const CompiledNetlist& cn,
+                               const std::vector<char>& observed);
+  // Patterns in which flipping gate g flips its region's stem; traces (and
+  // memoizes for the current region visit) the path from g to the stem.
+  Word sensitization(Machine& m, GateId g) const;
+  // Patterns of the block in which fault f (not a storage D-pin fault)
+  // flips its region's stem: activation AND sensitization.
+  Word reach(Machine& m, const Fault& f, const Word& valid) const;
+  // Simulates the live faults among faults[ids] of one region against the
+  // loaded block, writing first detections; returns how many it found.
+  std::size_t simulate_region(Machine& m, std::uint32_t region,
+                              const std::vector<Fault>& faults,
+                              std::span<const std::uint32_t> ids,
+                              bool drop_detected, const Word& valid,
+                              std::size_t base, int* first) const;
+  // Packs patterns[base, base + count) into the shared good machine's
+  // source words and evaluates it.
+  void load_block(const std::vector<SourceVector>& patterns, std::size_t base,
+                  std::size_t count);
   void record_run_obs(const FaultSimResult& res, bool drop_detected,
                       std::uint64_t blocks, int workers);
 
   const Netlist* nl_;
+  std::shared_ptr<const CompiledNetlist> cn_;
   std::vector<char> observed_;
+  Regions regions_;
+  BasicGoodMachine<EB> good_;
   std::vector<Machine> machines_;
   // Workers a run may start: threads(), capped at the host's hardware
   // threads -- a pool wider than the hardware only adds time-slicing and

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdio>
 #include <exception>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -20,14 +21,16 @@ namespace dft {
 template <typename EB>
 BasicParallelFaultSimulator<EB>::BasicParallelFaultSimulator(const Netlist& nl,
                                                              int threads)
-    : nl_(&nl), observed_(nl.size(), 0) {
+    : nl_(&nl),
+      // One compiled snapshot serves the good machine and every worker
+      // machine: it is immutable after construction, so concurrent reads
+      // need no synchronization.
+      cn_(std::make_shared<const CompiledNetlist>(nl)),
+      good_(cn_) {
   const int n = resolve_thread_count(threads);
   max_workers_ = std::min(n, resolve_thread_count(0));
-  // One compiled snapshot serves every worker machine: it is immutable
-  // after construction, so concurrent reads need no synchronization.
-  const auto compiled = std::make_shared<const CompiledNetlist>(nl);
   machines_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) machines_.emplace_back(compiled);
+  for (int i = 0; i < n; ++i) machines_.emplace_back(cn_);
   if (n > 1) pool_ = std::make_unique<ThreadPool>(n - 1);
   reset_observation_points();
 }
@@ -35,68 +38,202 @@ BasicParallelFaultSimulator<EB>::BasicParallelFaultSimulator(const Netlist& nl,
 template <typename EB>
 void BasicParallelFaultSimulator<EB>::set_observation_points(
     const std::vector<GateId>& observed) {
+  std::vector<char> next(cn_->size(), 0);
   for (GateId g : observed) {
-    if (g >= observed_.size()) {
+    if (g >= next.size()) {
       throw std::out_of_range("observation point " + std::to_string(g) +
                               " is not a gate of a " +
-                              std::to_string(observed_.size()) +
-                              "-gate netlist");
+                              std::to_string(next.size()) + "-gate netlist");
     }
+    next[g] = 1;
   }
-  std::fill(observed_.begin(), observed_.end(), 0);
-  for (GateId g : observed) observed_[g] = 1;
+  Regions regions = build_regions(*cn_, next);
+  observed_ = std::move(next);
+  regions_ = std::move(regions);
 }
 
 template <typename EB>
 void BasicParallelFaultSimulator<EB>::reset_observation_points() {
-  std::fill(observed_.begin(), observed_.end(), 0);
-  for (GateId g : nl_->outputs()) observed_[g] = 1;
+  std::vector<GateId> full(nl_->outputs());
   for (GateId ff : nl_->storage()) {
-    observed_[nl_->fanin(ff)[kStoragePinD]] = 1;
+    full.push_back(nl_->fanin(ff)[kStoragePinD]);
   }
+  set_observation_points(full);
+}
+
+template <typename EB>
+typename BasicParallelFaultSimulator<EB>::Regions
+BasicParallelFaultSimulator<EB>::build_regions(
+    const CompiledNetlist& cn, const std::vector<char>& observed) {
+  const std::size_t n = cn.size();
+  Regions r;
+  r.region_of.assign(n, 0);
+  r.local_of.assign(n, 0);
+  r.sink_of.assign(n, kNoGate);
+  r.pin_of.assign(n, -1);
+  for (GateId g = 0; g < n; ++g) {
+    const auto fo = cn.fanout(g);
+    if (fo.size() != 1 || !is_combinational(cn.type(fo[0])) || observed[g]) {
+      continue;
+    }
+    const auto fin = cn.fanin(fo[0]);
+    r.sink_of[g] = fo[0];
+    r.pin_of[g] = static_cast<std::int32_t>(
+        std::find(fin.begin(), fin.end(), g) - fin.begin());
+  }
+  // Stems are numbered in level order -- sources and storage outputs, then
+  // the compiled (level, id) order -- so the stems with the deepest fanout
+  // cones, the slowest to propagate, are stolen first.
+  std::vector<std::uint32_t> size;
+  const auto head = [&](GateId g) {
+    if (r.sink_of[g] != kNoGate) return;
+    r.region_of[g] = static_cast<std::uint32_t>(r.stem.size());
+    r.stem.push_back(g);
+    size.push_back(1);
+  };
+  for (GateId g = 0; g < n; ++g) {
+    if (!is_combinational(cn.type(g))) head(g);
+  }
+  const auto topo = cn.topo();
+  for (GateId g : topo) head(g);
+  // A member joins its sink's region. Sinks are combinational and sit at a
+  // strictly higher level, so descending level order, then the sources and
+  // storage outputs, meets every sink before the gates it reads.
+  const auto join = [&](GateId g) {
+    if (r.sink_of[g] == kNoGate) return;
+    const std::uint32_t region = r.region_of[r.sink_of[g]];
+    r.region_of[g] = region;
+    r.local_of[g] = size[region]++;
+  };
+  for (std::size_t i = topo.size(); i-- > 0;) join(topo[i]);
+  for (GateId g = 0; g < n; ++g) {
+    if (!is_combinational(cn.type(g))) join(g);
+  }
+  for (std::uint32_t s : size) r.widest = std::max(r.widest, s);
+  return r;
 }
 
 template <typename EB>
 typename BasicParallelFaultSimulator<EB>::Word
-BasicParallelFaultSimulator<EB>::detect_word(Machine& m, const Fault& f) const {
-  const GateType t = nl_->type(f.gate);
+BasicParallelFaultSimulator<EB>::sensitization(Machine& m, GateId g) const {
+  const Regions& r = regions_;
+  // Climb to the stem, or to the first gate already traced in this visit.
+  m.path.clear();
+  for (GateId x = g;;) {
+    const std::uint32_t l = r.local_of[x];
+    if (m.sens_stamp[l] == m.epoch) break;
+    if (r.sink_of[x] == kNoGate) {
+      m.sens[l] = Traits::ones();
+      m.sens_stamp[l] = m.epoch;
+      break;
+    }
+    m.path.push_back(x);
+    x = r.sink_of[x];
+  }
+  // Back down. Flipping y flips its sink where the sink's evaluation with
+  // y's pin complemented differs from the good word, and the stem where the
+  // sink's flip does; a tree has no other path.
+  for (auto it = m.path.rbegin(); it != m.path.rend(); ++it) {
+    const GateId y = *it;
+    const GateId s = r.sink_of[y];
+    const Word& above = m.sens[r.local_of[s]];
+    Word w = Traits::zeros();
+    if (Traits::any(above)) {
+      w = above & (m.ev.eval_with_forced_pin(s, r.pin_of[y],
+                                             ~m.ev.good_word(y)) ^
+                   m.ev.good_word(s));
+    }
+    m.sens[r.local_of[y]] = w;
+    m.sens_stamp[r.local_of[y]] = m.epoch;
+  }
+  return m.sens[r.local_of[g]];
+}
+
+template <typename EB>
+typename BasicParallelFaultSimulator<EB>::Word
+BasicParallelFaultSimulator<EB>::reach(Machine& m, const Fault& f,
+                                       const Word& valid) const {
   const Word forced = f.sa1 ? Traits::ones() : Traits::zeros();
+  const Word site =
+      f.pin < 0 ? forced : m.ev.eval_with_forced_pin(f.gate, f.pin, forced);
+  const Word activation = (site ^ m.ev.good_word(f.gate)) & valid;
+  if (!Traits::any(activation)) return activation;
+  return activation & sensitization(m, f.gate);
+}
 
-  // Storage D-pin fault: the wrong value is captured and observed whenever
-  // the D net is an observation point (it is, under the full-scan default).
-  if (is_storage(t) && f.pin == kStoragePinD) {
-    const GateId din = nl_->fanin(f.gate)[kStoragePinD];
-    if (!observed_[din]) return Traits::zeros();
-    return m.ev.good_word(din) ^ forced;
+template <typename EB>
+std::size_t BasicParallelFaultSimulator<EB>::simulate_region(
+    Machine& m, std::uint32_t region, const std::vector<Fault>& faults,
+    std::span<const std::uint32_t> ids, bool drop_detected, const Word& valid,
+    std::size_t base, int* first) const {
+  std::size_t found = 0;
+  const auto record = [&](std::size_t fi, const Word& det) {
+    if (first[fi] < 0 && Traits::any(det)) {
+      first[fi] = static_cast<int>(base) + Traits::first_set(det);
+      ++found;
+    }
+  };
+  // A fresh epoch forgets the previous region's traces; on wrap, clear the
+  // stamps once.
+  if (++m.epoch == 0) {
+    std::fill(m.sens_stamp.begin(), m.sens_stamp.end(), 0);
+    m.epoch = 1;
   }
-
-  Word faulty_site;
-  if (f.pin < 0) {
-    faulty_site = forced;
-  } else {
-    faulty_site = m.ev.eval_with_forced_pin(f.gate, f.pin, forced);
+  m.reaching.clear();
+  bool live = false;
+  // Patterns in which some live fault flips the stem.
+  Word flip = Traits::zeros();
+  for (const std::uint32_t fi : ids) {
+    if (drop_detected && first[fi] >= 0) continue;
+    live = true;
+    ++m.tallies.faults_simulated;
+    const Fault& f = faults[fi];
+    // Storage D-pin fault: the wrong value is captured and observed
+    // whenever the D net is an observation point (it is, under the
+    // full-scan default); nothing downstream sees it.
+    if (is_storage(cn_->type(f.gate)) && f.pin == kStoragePinD) {
+      const GateId din = cn_->fanin(f.gate)[kStoragePinD];
+      if (observed_[din]) {
+        const Word forced = f.sa1 ? Traits::ones() : Traits::zeros();
+        record(fi, (m.ev.good_word(din) ^ forced) & valid);
+      }
+      continue;
+    }
+    const Word r = reach(m, f, valid);
+    if (!Traits::any(r)) continue;
+    flip |= r;
+    m.reaching.push_back(fi);
   }
-  const Word activation = faulty_site ^ m.ev.good_word(f.gate);
-  if (!Traits::any(activation)) {
+  if (!live) return found;
+  if (!Traits::any(flip)) {
     ++m.tallies.death_depth[0];
-    return Traits::zeros();
+    return found;
   }
 
-  Word detect = Traits::zeros();
-  if (observed_[f.gate]) detect = activation;
-
+  // One propagation of the stem serves every fault of the region: each bit
+  // is one single-fault machine, and in it the fault changes the stem and
+  // nothing else outside the region.
+  const GateId stem = regions_.stem[region];
   const typename BasicEventSim<EB>::Propagation p =
-      m.ev.propagate(f.gate, faulty_site, observed_);
+      m.ev.propagate(stem, m.ev.good_word(stem) ^ flip, observed_);
+  ++m.tallies.stems_propagated;
   m.tallies.gates_evaluated += p.gates_evaluated;
-  ++m.tallies.death_depth[static_cast<std::size_t>(std::min(
-      p.death_depth, Tallies::kDeathDepthBuckets - 1))];
-  return detect | p.detect;
+  ++m.tallies.death_depth[static_cast<std::size_t>(
+      std::min(p.death_depth, Tallies::kDeathDepthBuckets - 1))];
+  const Word obs = observed_[stem] ? flip | p.detect : p.detect;
+  if (!Traits::any(obs)) return found;
+  // The sensitizations are memoized, so a second reach() costs one
+  // activation.
+  for (const std::uint32_t fi : m.reaching) {
+    record(fi, reach(m, faults[fi], valid) & obs);
+  }
+  return found;
 }
 
 template <typename EB>
 void BasicParallelFaultSimulator<EB>::load_block(
-    Machine& m, const std::vector<SourceVector>& patterns, std::size_t base,
-    std::size_t count) const {
+    const std::vector<SourceVector>& patterns, std::size_t base,
+    std::size_t count) {
   const auto& pis = nl_->inputs();
   const auto& ffs = nl_->storage();
   const std::size_t ns = pis.size() + ffs.size();
@@ -105,22 +242,26 @@ void BasicParallelFaultSimulator<EB>::load_block(
     for (std::size_t b = 0; b < count; ++b) {
       if (patterns[base + b][s] == Logic::One) Traits::set_bit(w, b);
     }
-    m.ev.set_source_word(s < pis.size() ? pis[s] : ffs[s - pis.size()], w);
+    good_.set_source_word(s < pis.size() ? pis[s] : ffs[s - pis.size()], w);
   }
-  m.ev.evaluate_good();
+  good_.evaluate();
 }
 
 // The one schedule, at every thread count. Pattern-word blocks run in
-// order; in each block every worker loads the good machine itself, then
-// steals 64-fault chunks from a shared counter until the list is done. The
-// caller is worker 0 and pool_->wait() is the barrier between blocks; at
-// one worker the same loop runs inline.
+// order; in each block the caller evaluates the shared good machine, then
+// every worker copies it into its own faulty machine and steals stem
+// regions, one at a time, from a shared counter until the list is done.
+// One region is one stem propagation, and those costs differ by orders of
+// magnitude, so a region is the unit of stealing. The caller is worker 0
+// and pool_->wait() is the barrier between blocks; at one worker the same
+// loop runs inline.
 //
-// Chunks are disjoint and blocks are ordered, so each first_detected_by
+// Regions are disjoint and blocks are ordered, so each first_detected_by
 // entry has one writer per block and the first block that detects a fault
-// is the earliest; dropping skips a fault an earlier block detected. The
-// result and the work done (faults simulated, gates evaluated, events
-// scheduled) therefore do not depend on the thread count.
+// is the earliest; dropping skips a fault an earlier block detected. What
+// a region visit does depends only on the block and the region's faults,
+// so the result and the work done (faults simulated, stems propagated,
+// gates evaluated, events scheduled) do not depend on the thread count.
 template <typename EB>
 FaultSimResult BasicParallelFaultSimulator<EB>::run(
     const std::vector<SourceVector>& patterns, const std::vector<Fault>& faults,
@@ -130,12 +271,45 @@ FaultSimResult BasicParallelFaultSimulator<EB>::run(
   // middle of a block must not leave the engine half-mutated.
   validate_patterns(*nl_, patterns, /*require_binary=*/true);
 
+  // The faults grouped by region: order[fault_begin[r], fault_begin[r+1]),
+  // ascending within a region. Workers steal the regions that hold any.
   const std::size_t nf = faults.size();
+  const std::size_t nr = regions_.stem.size();
+  std::vector<std::uint32_t> fault_begin(nr + 1, 0);
+  for (const Fault& f : faults) {
+    if (f.gate >= cn_->size() ||
+        (f.pin >= 0 &&
+         static_cast<std::size_t>(f.pin) >= cn_->fanin(f.gate).size())) {
+      throw std::out_of_range("fault site " + std::to_string(f.gate) + "." +
+                              std::to_string(f.pin) + " is not in a " +
+                              std::to_string(cn_->size()) + "-gate netlist");
+    }
+    ++fault_begin[regions_.region_of[f.gate] + 1];
+  }
+  std::vector<std::uint32_t> busy;
+  std::size_t most_faults = 0;  // in one region
+  for (std::uint32_t r = 0; r < nr; ++r) {
+    const std::size_t here = fault_begin[r + 1];
+    if (here == 0) continue;
+    busy.push_back(r);
+    most_faults = std::max(most_faults, here);
+  }
+  std::partial_sum(fault_begin.begin(), fault_begin.end(),
+                   fault_begin.begin());
+  std::vector<std::uint32_t> order(nf);
+  {
+    std::vector<std::uint32_t> at(fault_begin.begin(), fault_begin.end() - 1);
+    for (std::size_t fi = 0; fi < nf; ++fi) {
+      order[at[regions_.region_of[faults[fi].gate]]++] =
+          static_cast<std::uint32_t>(fi);
+    }
+  }
+
   const std::size_t nblocks = (patterns.size() + kBits - 1) / kBits;
-  const std::size_t nchunks = (nf + kChunk - 1) / kChunk;
-  // A worker with no chunk to steal would only load the good machine for
+  // A worker with no region to steal would only copy the good machine for
   // nothing.
-  const int workers = std::min(max_workers_, static_cast<int>(nchunks));
+  const int workers =
+      static_cast<int>(std::min<std::size_t>(max_workers_, busy.size()));
   const bool guarded = budget != nullptr && budget->limited();
   const bool observed = obs::enabled();
   const bool progressing = progress_on();
@@ -143,6 +317,14 @@ FaultSimResult BasicParallelFaultSimulator<EB>::run(
   for (Machine& m : machines_) {
     m.tallies = Tallies{};
     m.events_mark = m.ev.events_scheduled();
+    // Worker buffers are sized here, on the calling thread, so workers
+    // allocate nothing.
+    if (m.sens.size() < regions_.widest) {
+      m.sens.resize(regions_.widest);
+      m.sens_stamp.resize(regions_.widest, 0);
+    }
+    m.path.reserve(regions_.widest);
+    m.reaching.reserve(most_faults);
   }
   std::vector<obs::Histogram*> task_timers;
   if (observed) {
@@ -161,26 +343,22 @@ FaultSimResult BasicParallelFaultSimulator<EB>::run(
     const std::size_t base = b * kBits;
     const std::size_t cnt = std::min(kBits, patterns.size() - base);
     const Word valid = Traits::prefix_mask(cnt);
+    if (workers > 0) load_block(patterns, base, cnt);
     std::atomic<std::size_t> next{0};
     const auto work = [&](int w) {
       Machine& m = machines_[static_cast<std::size_t>(w)];
       std::optional<obs::ScopedTimer> timer;
       if (observed) timer.emplace(*task_timers[static_cast<std::size_t>(w)]);
-      load_block(m, patterns, base, cnt);
+      m.ev.load_good(good_);
       std::size_t found = 0;
       for (;;) {
-        const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
-        if (c >= nchunks) break;
-        const std::size_t end = std::min(nf, (c + 1) * kChunk);
-        for (std::size_t fi = c * kChunk; fi < end; ++fi) {
-          if (drop_detected && first[fi] >= 0) continue;
-          ++m.tallies.faults_simulated;
-          const Word det = detect_word(m, faults[fi]) & valid;
-          if (first[fi] < 0 && Traits::any(det)) {
-            first[fi] = static_cast<int>(base) + Traits::first_set(det);
-            ++found;
-          }
-        }
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= busy.size()) break;
+        const std::uint32_t r = busy[i];
+        const std::span<const std::uint32_t> ids(
+            order.data() + fault_begin[r], order.data() + fault_begin[r + 1]);
+        found += simulate_region(m, r, faults, ids, drop_detected, valid, base,
+                                 first);
       }
       detected.fetch_add(found, std::memory_order_relaxed);
     };
@@ -242,6 +420,7 @@ void BasicParallelFaultSimulator<EB>::record_run_obs(const FaultSimResult& res,
     events += m.ev.events_scheduled() - m.events_mark;
     sum.gates_evaluated += m.tallies.gates_evaluated;
     sum.faults_simulated += m.tallies.faults_simulated;
+    sum.stems_propagated += m.tallies.stems_propagated;
     for (std::size_t d = 0; d < sum.death_depth.size(); ++d) {
       sum.death_depth[d] += m.tallies.death_depth[d];
     }
@@ -266,6 +445,7 @@ void BasicParallelFaultSimulator<EB>::record_run_obs(const FaultSimResult& res,
   reg.gauge("sim.word_bits").set(Traits::kBits);
   reg.counter("fault_sim.ppsfp.pattern_blocks").add(blocks);
   reg.counter("fault_sim.ppsfp.faults_simulated").add(sum.faults_simulated);
+  reg.counter("fault_sim.ppsfp.stems_propagated").add(sum.stems_propagated);
   // Dropping takes a fault out of every later block the moment it is
   // detected, so each detection is one dropped fault -- counted once, not
   // once per block that skips it.
@@ -275,13 +455,16 @@ void BasicParallelFaultSimulator<EB>::record_run_obs(const FaultSimResult& res,
   reg.counter("fault_sim.ppsfp.detections").add(detections);
   record_final_coverage(res);
 
+  // The event counters and the frontier-death histogram count stem
+  // propagations: one per region whose live faults reach its stem in a
+  // block.
   reg.counter("fault_sim.event.runs").add(1);
   reg.counter("fault_sim.event.events_scheduled").add(events);
   reg.counter("fault_sim.event.gates_evaluated").add(sum.gates_evaluated);
-  // Frontier-death histogram: bucket d = fault words whose difference
-  // frontier died d levels past the fault site (d=0 includes faults never
-  // activated in the block). Flushed as counters so the whole run's
-  // distribution lands in one report.
+  // Frontier-death histogram: bucket d = stem propagations whose difference
+  // frontier died d levels past the stem (d=0 also counts regions whose
+  // live faults never reached their stem in the block). Flushed as counters
+  // so the whole run's distribution lands in one report.
   for (int d = 0; d < Tallies::kDeathDepthBuckets; ++d) {
     const std::uint64_t n = sum.death_depth[static_cast<std::size_t>(d)];
     if (n == 0) continue;

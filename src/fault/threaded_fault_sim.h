@@ -3,12 +3,14 @@
 // The survey's Eq. 1 (T = K*N^3) makes fault simulation the inner-loop cost
 // of everything downstream -- ATPG dropping, random-TPG grading, BIST
 // coverage measurement -- and Sec. I-B prices it at about "3001 good
-// machine simulations". The good machine is shared work; propagating each
-// fault's difference frontier is the parallel work. One PPSFP engine,
+// machine simulations". The good machine is shared work; propagating
+// fault effects is the parallel work. One PPSFP engine,
 // BasicParallelFaultSimulator<EB>(nl, threads) in fault/fault_sim.h, does
-// both at every thread count with one schedule: blocks in order, each
-// worker loading the good machine and then stealing 64-fault chunks. Its
-// result and its work counts do not depend on the thread count.
+// both at every thread count with one schedule: blocks in order, the good
+// machine evaluated once per block, then the workers stealing fanout-free
+// stem regions, each region traced back from its stem and its stem
+// propagated once for all of its faults. Its result and its work counts do
+// not depend on the thread count.
 //
 // The factories below pick the engine by name, the pattern-word lane by
 // the DFT_SIMD policy (or an explicit simd::Lane), and pass the thread

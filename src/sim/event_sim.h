@@ -4,19 +4,23 @@
 // Re-evaluating a fault's entire fanout cone per pattern word wastes work:
 // the survey's observability argument (Sec. II) says most fault effects die
 // within a level or two of the fault site. This kernel only ever touches
-// the difference frontier: starting from the faulty site, it schedules the
+// the difference frontier: starting from a changed gate, it schedules the
 // fanouts of gates whose pattern word actually changed on a levelized event
 // wheel, evaluates each scheduled gate at most once when its level comes up
 // (by then every fanin is final), and stops the moment no scheduled gate
 // remains -- then restores only the gates it wrote. Levels come from a
 // CompiledNetlist, whose CSR spans also feed the gather-free EB::eval_ids
-// inner loop. The word is whatever the backend
-// carries (sim/eval_backend.h): 64 patterns classic, 256/512 widened.
+// inner loop. Parity gates cost O(1) per event whatever their fanin: a
+// changed fanin folds its difference word into the gate at once, so the
+// gate's new word is ready when its level comes up. The word is whatever
+// the backend carries (sim/eval_backend.h): 64 patterns classic, 256/512
+// widened.
 //
-// One machine is one single-threaded machine (like BasicParallelSim); the
-// CompiledNetlist behind it is immutable and may be shared across machines
-// -- the PPSFP fault simulator gives each worker its own BasicEventSim over
-// one shared snapshot.
+// The good machine is shared work: one BasicGoodMachine per block is
+// evaluated once and read by every BasicEventSim of the block (the PPSFP
+// fault simulator runs one per worker). A BasicEventSim keeps only its
+// faulty machine, which equals the good machine between propagations. The
+// CompiledNetlist behind both is immutable and shared across machines.
 #pragma once
 
 #include <algorithm>
@@ -32,6 +36,51 @@
 
 namespace dft {
 
+// Xor/Xnor: the output word is the good word XOR the XOR of the fanins'
+// difference words, so one changed fanin costs O(1) however wide the gate.
+constexpr bool is_parity(GateType t) {
+  return t == GateType::Xor || t == GateType::Xnor;
+}
+
+// The good machine of one pattern block: source words in, one full pass in
+// compiled (level, id) order, then read-only for every machine of the
+// block.
+template <typename EB>
+class BasicGoodMachine {
+ public:
+  using Word = typename EB::Word;
+  using Traits = WordTraits<Word>;
+
+  explicit BasicGoodMachine(std::shared_ptr<const CompiledNetlist> cn)
+      : cn_(std::move(cn)), words_(cn_->size(), Traits::zeros()) {
+    for (GateId g = 0; g < cn_->size(); ++g) {
+      if (cn_->type(g) == GateType::Const1) words_[g] = Traits::ones();
+    }
+  }
+
+  // Sets one word of pattern bits on a primary input or storage output.
+  void set_source_word(GateId source, const Word& w) {
+    assert(source < words_.size());
+    assert(cn_->type(source) == GateType::Input ||
+           is_storage(cn_->type(source)));
+    words_[source] = w;
+  }
+
+  void evaluate() {
+    const Word* w = words_.data();
+    for (GateId g : cn_->topo()) {
+      const auto fin = cn_->fanin(g);
+      words_[g] = EB::eval_ids(cn_->type(g), fin.data(), fin.size(), w);
+    }
+  }
+
+  const std::vector<Word>& words() const { return words_; }
+
+ private:
+  std::shared_ptr<const CompiledNetlist> cn_;
+  std::vector<Word> words_;
+};
+
 template <typename EB>
 class BasicEventSim {
  public:
@@ -42,25 +91,24 @@ class BasicEventSim {
 
   const CompiledNetlist& compiled() const { return *cn_; }
 
-  // Sets one word of pattern bits on a primary input or storage output.
-  void set_source_word(GateId source, const Word& w) {
-    assert(source < words_.size());
-    assert(cn_->type(source) == GateType::Input ||
-           is_storage(cn_->type(source)));
-    words_[source] = w;
+  // Binds `good` as the machine every propagation compares against and
+  // restores to, and resets the faulty machine to it (a copy into storage
+  // sized at construction). `good` must outlive the binding and stay
+  // unchanged while bound.
+  void load_good(const BasicGoodMachine<EB>& good) {
+    assert(good.words().size() == words_.size());
+    good_ = good.words().data();
+    std::copy(good.words().begin(), good.words().end(), words_.begin());
   }
 
-  // Full good-machine pass in compiled (level, id) order; snapshots the
-  // result as the restore baseline for the propagations that follow.
-  void evaluate_good();
-
   const Word& good_word(GateId g) const {
-    assert(g < good_.size());
+    assert(good_ != nullptr && g < words_.size());
     return good_[g];
   }
 
-  // Evaluates gate g with input pin `pin` forced to `forced` (the faulty
-  // site of an input-pin stuck fault) without storing the result.
+  // Evaluates gate g of the good machine with input pin `pin` forced to
+  // `forced` (the faulty site of an input-pin stuck fault, or one step of a
+  // sensitization trace) without storing the result. O(1) on parity gates.
   Word eval_with_forced_pin(GateId g, int pin, const Word& forced) const;
 
   struct Propagation {
@@ -68,7 +116,7 @@ class BasicEventSim {
         Traits::zeros();  // XOR-vs-good at observed gates, all levels
     std::uint64_t gates_evaluated = 0;
     // Levels past the origin the difference frontier survived (0 = died at
-    // the fault site's own fanout).
+    // the origin's own fanout).
     int death_depth = 0;
   };
 
@@ -83,8 +131,8 @@ class BasicEventSim {
 
  private:
   std::shared_ptr<const CompiledNetlist> cn_;
+  const Word* good_ = nullptr;
   std::vector<Word> words_;  // faulty machine; == good_ between calls
-  std::vector<Word> good_;
   std::vector<std::vector<GateId>> wheel_;  // one bucket per level
   std::vector<std::uint32_t> stamp_;        // dedupe epoch per gate
   std::uint32_t epoch_ = 0;
@@ -99,30 +147,18 @@ template <typename EB>
 BasicEventSim<EB>::BasicEventSim(std::shared_ptr<const CompiledNetlist> cn)
     : cn_(std::move(cn)),
       words_(cn_->size(), Traits::zeros()),
-      good_(cn_->size(), Traits::zeros()),
       wheel_(static_cast<std::size_t>(cn_->depth()) + 1),
-      stamp_(cn_->size(), 0) {
-  for (GateId g = 0; g < cn_->size(); ++g) {
-    if (cn_->type(g) == GateType::Const1) words_[g] = Traits::ones();
-  }
-}
-
-template <typename EB>
-void BasicEventSim<EB>::evaluate_good() {
-  const Word* w = words_.data();
-  for (GateId g : cn_->topo()) {
-    const auto fin = cn_->fanin(g);
-    words_[g] = EB::eval_ids(cn_->type(g), fin.data(), fin.size(), w);
-  }
-  good_ = words_;
-}
+      stamp_(cn_->size(), 0) {}
 
 template <typename EB>
 typename BasicEventSim<EB>::Word BasicEventSim<EB>::eval_with_forced_pin(
     GateId g, int pin, const Word& forced) const {
+  const GateType t = cn_->type(g);
   const auto fin = cn_->fanin(g);
-  return EB::eval_forced(cn_->type(g), fin.data(), fin.size(), words_.data(),
-                         pin, forced);
+  if (is_parity(t)) {
+    return good_[g] ^ forced ^ good_[fin[static_cast<std::size_t>(pin)]];
+  }
+  return EB::eval_forced(t, fin.data(), fin.size(), good_, pin, forced);
 }
 
 template <typename EB>
@@ -144,9 +180,14 @@ typename BasicEventSim<EB>::Propagation BasicEventSim<EB>::propagate(
 
   const int origin_lvl = cn_->level(origin);
   int hi = origin_lvl;  // highest level holding a scheduled gate
-  auto schedule_fanouts = [&](GateId g) {
+  // `diff` is g's new word XOR its good word. A parity fanout takes it
+  // before the dedupe, so a gate read on two pins of one sink cancels.
+  auto schedule_fanouts = [&](GateId g, const Word& diff) {
     for (GateId s : cn_->fanout(g)) {
-      if (!is_combinational(cn_->type(s)) || stamp_[s] == epoch_) continue;
+      const GateType t = cn_->type(s);
+      if (!is_combinational(t)) continue;
+      if (is_parity(t)) words_[s] ^= diff;
+      if (stamp_[s] == epoch_) continue;
       stamp_[s] = epoch_;
       const int lvl = cn_->level(s);
       wheel_[static_cast<std::size_t>(lvl)].push_back(s);
@@ -154,7 +195,7 @@ typename BasicEventSim<EB>::Propagation BasicEventSim<EB>::propagate(
       ++events_scheduled_;
     }
   };
-  schedule_fanouts(origin);
+  schedule_fanouts(origin, faulty ^ good_[origin]);
 
   // Ascending level sweep. A gate is scheduled only by a change at a
   // strictly lower level, so each bucket is complete when its level comes
@@ -165,15 +206,23 @@ typename BasicEventSim<EB>::Propagation BasicEventSim<EB>::propagate(
     auto& bucket = wheel_[static_cast<std::size_t>(lvl)];
     for (std::size_t i = 0; i < bucket.size(); ++i) {
       const GateId g = bucket[i];
-      const auto fin = cn_->fanin(g);
-      const Word nw = EB::eval_ids(cn_->type(g), fin.data(), fin.size(), w);
+      const GateType t = cn_->type(g);
+      Word nw;
+      if (is_parity(t)) {
+        nw = words_[g];  // good ^ the folded differences
+      } else {
+        const auto fin = cn_->fanin(g);
+        nw = EB::eval_ids(t, fin.data(), fin.size(), w);
+      }
       ++out.gates_evaluated;
-      if (nw == good_[g]) continue;  // event absorbed; nothing downstream
+      // Event absorbed; nothing downstream, and the word is still good.
+      if (nw == good_[g]) continue;
       words_[g] = nw;
       touched_.push_back(g);
-      if (observed[g]) out.detect |= nw ^ good_[g];
+      const Word diff = nw ^ good_[g];
+      if (observed[g]) out.detect |= diff;
       out.death_depth = lvl - origin_lvl;
-      schedule_fanouts(g);
+      schedule_fanouts(g, diff);
     }
     bucket.clear();
   }
@@ -183,8 +232,9 @@ typename BasicEventSim<EB>::Propagation BasicEventSim<EB>::propagate(
   return out;
 }
 
-// The 64-bit instantiation lives in event_sim.cpp; wide lanes are
+// The 64-bit instantiations live in event_sim.cpp; wide lanes are
 // instantiated where they are used (fault/simd_lanes.cpp, tests).
+extern template class BasicGoodMachine<ScalarEval<std::uint64_t>>;
 extern template class BasicEventSim<ScalarEval<std::uint64_t>>;
 
 }  // namespace dft

@@ -1,11 +1,14 @@
 // Multi-worker fault simulation: determinism of the PPSFP engine against
-// the other engines at several thread counts, its thread and observation-
-// point contracts, the ThreadPool primitive itself, and regression
+// the other engines at several thread counts, its stem regions against an
+// independent two-valued oracle on DAGs of every gate kind, its thread and
+// observation-point contracts, the ThreadPool primitive itself, and regression
 // tests for the engine-contract fixes (hoisted pattern validation, the
 // serial drop_detected flag, weighted-random weight checking).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -23,6 +26,7 @@
 #include "fault/threaded_fault_sim.h"
 #include "guard/guard.h"
 #include "obs/obs.h"
+#include "sim/eval.h"
 #include "sim/simd.h"
 #include "sim/thread_pool.h"
 
@@ -320,6 +324,263 @@ TEST(ThreadedFaultSim, PoolStartsOneThreadFewerThanWorkers) {
 #endif
 }
 
+// --- Stem regions against an independent two-valued oracle ---------------
+
+// A random DAG over every gate kind the PPSFP engine evaluates: inputs,
+// constants, storage outputs whose D pins close loops through late nets,
+// basic gates, Mux, wide Xor/Xnor, gates reading one net on two pins,
+// and (with `buses`) Tristate gates resolved by a Bus.
+Netlist make_region_dag(std::uint64_t seed, bool buses) {
+  using G = GateType;
+  const G kTypes[] = {G::Buf, G::Not, G::And, G::Nand, G::Or,
+                      G::Nor, G::Xor, G::Xnor, G::Mux};
+  std::mt19937_64 rng(seed);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  Netlist nl("region_dag");
+  std::vector<GateId> nets;
+  for (std::size_t i = 0, n = 6 + pick(6); i < n; ++i) {
+    nets.push_back(nl.add_input());
+  }
+  nets.push_back(nl.add_gate(G::Const0, {}));
+  nets.push_back(nl.add_gate(G::Const1, {}));
+  std::vector<GateId> ffs;
+  for (std::size_t i = 0, n = pick(4); i < n; ++i) {
+    ffs.push_back(nl.add_gate(G::Dff, {nets[0]}));
+    nets.push_back(ffs.back());
+  }
+  for (std::size_t i = 0, gates = 60 + pick(60); i < gates; ++i) {
+    if (buses && pick(8) == 0) {
+      std::vector<GateId> tristates;
+      for (std::size_t d = 0, k = 1 + pick(3); d < k; ++d) {
+        tristates.push_back(nl.add_gate(
+            G::Tristate, {nets[pick(nets.size())], nets[pick(nets.size())]}));
+      }
+      nets.push_back(nl.add_gate(G::Bus, tristates));
+      continue;
+    }
+    const G t = kTypes[pick(std::size(kTypes))];
+    const FaninArity arity = fanin_arity(t);
+    std::size_t n = static_cast<std::size_t>(arity.max);
+    if (arity.max < 0) {
+      const bool wide = (t == G::Xor || t == G::Xnor) && pick(4) == 0;
+      n = wide ? 6 + pick(10) : 1 + pick(4);
+    }
+    std::vector<GateId> fin;
+    for (std::size_t k = 0; k < n; ++k) fin.push_back(nets[pick(nets.size())]);
+    if (n >= 2 && pick(5) == 0) fin[1] = fin[0];  // one net, two pins
+    nets.push_back(nl.add_gate(t, fin));
+  }
+  for (GateId ff : ffs) {
+    nl.set_fanin(ff, kStoragePinD, nets[nets.size() - 1 - pick(20)]);
+  }
+  for (std::size_t i = 0, n = 3 + pick(5); i < n; ++i) {
+    nl.add_output(nets[nets.size() - 1 - pick(30)]);
+  }
+  return nl;
+}
+
+// The full-scan observation set: primary outputs and storage D nets.
+std::vector<GateId> full_scan_view(const Netlist& nl) {
+  std::vector<GateId> obs(nl.outputs());
+  for (GateId ff : nl.storage()) obs.push_back(nl.fanin(ff)[kStoragePinD]);
+  return obs;
+}
+
+// Two-valued single-fault reference for the PPSFP model: per fault and
+// 64-pattern block the whole netlist is re-evaluated in topological order
+// with the fault injected (eval_gate_word, the same pull-down bus model),
+// and a pattern detects the fault when an observed gate differs from the
+// good machine. A storage D-pin fault is detected where its D net is
+// observed and differs from the stuck value. No event wheel, no regions.
+std::vector<int> two_valued_first_detections(
+    const Netlist& nl, const std::vector<SourceVector>& pats,
+    const std::vector<Fault>& faults, const std::vector<GateId>& observed) {
+  std::vector<char> obs(nl.size(), 0);
+  for (GateId g : observed) obs[g] = 1;
+  std::vector<GateId> sources(nl.inputs());
+  sources.insert(sources.end(), nl.storage().begin(), nl.storage().end());
+  std::vector<int> first(faults.size(), -1);
+  std::vector<std::uint64_t> good(nl.size()), bad(nl.size()), in;
+  const auto evaluate = [&](std::vector<std::uint64_t>& w, const Fault* f) {
+    const std::uint64_t forced = f != nullptr && f->sa1 ? ~0ull : 0;
+    if (f != nullptr && f->pin < 0) w[f->gate] = forced;  // a source site
+    for (GateId g : nl.topo_order()) {
+      const auto& fin = nl.fanin(g);
+      in.clear();
+      for (std::size_t p = 0; p < fin.size(); ++p) {
+        const bool site = f != nullptr && f->gate == g &&
+                          f->pin == static_cast<int>(p);
+        in.push_back(site ? forced : w[fin[p]]);
+      }
+      w[g] = eval_gate_word(nl.type(g), in);
+      if (f != nullptr && f->gate == g && f->pin < 0) w[g] = forced;
+    }
+  };
+  for (std::size_t base = 0; base < pats.size(); base += 64) {
+    const std::size_t cnt = std::min<std::size_t>(64, pats.size() - base);
+    const std::uint64_t valid = cnt == 64 ? ~0ull : (1ull << cnt) - 1;
+    std::fill(good.begin(), good.end(), 0);
+    for (GateId g = 0; g < nl.size(); ++g) {
+      if (nl.type(g) == GateType::Const1) good[g] = ~0ull;
+    }
+    for (std::size_t s = 0; s < sources.size(); ++s) {
+      for (std::size_t b = 0; b < cnt; ++b) {
+        if (pats[base + b][s] == Logic::One) good[sources[s]] |= 1ull << b;
+      }
+    }
+    evaluate(good, nullptr);
+    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+      if (first[fi] >= 0) continue;
+      const Fault& f = faults[fi];
+      std::uint64_t det = 0;
+      if (is_storage(nl.type(f.gate)) && f.pin == kStoragePinD) {
+        const GateId din = nl.fanin(f.gate)[kStoragePinD];
+        if (obs[din]) det = good[din] ^ (f.sa1 ? ~0ull : 0);
+      } else {
+        bad = good;
+        evaluate(bad, &f);
+        for (GateId g = 0; g < nl.size(); ++g) {
+          if (obs[g]) det |= bad[g] ^ good[g];
+        }
+      }
+      det &= valid;
+      if (det != 0) first[fi] = static_cast<int>(base) + std::countr_zero(det);
+    }
+  }
+  return first;
+}
+
+std::vector<SourceVector> patterns_for(const Netlist& nl, std::size_t n,
+                                       std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<SourceVector> pats;
+  for (std::size_t i = 0; i < n; ++i) {
+    pats.push_back(random_source_vector(nl, rng));
+  }
+  return pats;
+}
+
+// Every lane this host runs, at 1, 2, 4 and 8 threads, with and without
+// dropping, against `want`.
+void expect_every_engine_gives(const Netlist& nl,
+                               const std::vector<SourceVector>& pats,
+                               const std::vector<Fault>& faults,
+                               const std::vector<int>& want) {
+  for (const simd::Lane lane : simd::available_lanes()) {
+    SCOPED_TRACE("lane " + std::string(simd::lane_name(lane)));
+    for (int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      const auto eng =
+          make_fault_sim_engine(nl, threads, FaultSimKernel::Event, lane);
+      ASSERT_EQ(want, eng->run(pats, faults).first_detected_by);
+      ASSERT_EQ(want, eng->run(pats, faults, /*drop_detected=*/false)
+                          .first_detected_by);
+    }
+  }
+}
+
+TEST(StemRegions, MatchOraclesOnDagsOfEveryGateKind) {
+  std::mt19937_64 meta(1991);
+  for (int round = 0; round < 16; ++round) {
+    const bool buses = round % 2 == 1;
+    const Netlist nl = make_region_dag(meta(), buses);
+    const auto faults = enumerate_faults(nl);
+    // One to two 512-bit words with a ragged tail.
+    const auto pats = patterns_for(nl, 300 + meta() % 400, meta());
+    SCOPED_TRACE("round " + std::to_string(round) + " (" +
+                 std::to_string(nl.size()) + " gates, " +
+                 std::to_string(pats.size()) + " patterns)");
+    const std::vector<int> want =
+        two_valued_first_detections(nl, pats, faults, full_scan_view(nl));
+    ASSERT_GT(std::count_if(want.begin(), want.end(),
+                            [](int p) { return p >= 0; }),
+              0);
+    // A tri-state bus floats or fights in some faulty machines, where the
+    // four-valued oracles read Z or X and the two-valued model reads its
+    // pull-down value; without buses all three models agree.
+    if (!buses) {
+      SerialFaultSimulator serial(nl);
+      ASSERT_EQ(want, serial.run(pats, faults).first_detected_by);
+      DeductiveFaultSimulator deductive(nl);
+      ASSERT_EQ(want, deductive.run(pats, faults).first_detected_by);
+    }
+    expect_every_engine_gives(nl, pats, faults, want);
+  }
+}
+
+// Observation points inside a fanout-free region split it: the observed
+// gate becomes a stem. Moving the points moves the region boundaries, a
+// rejected update keeps the last accepted ones, and a reset restores the
+// full-scan regions.
+TEST(StemRegions, ObservationPointsMoveRegionBoundaries) {
+  for (std::uint64_t seed : {3u, 4u, 5u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Netlist nl = make_region_dag(seed, /*buses=*/true);
+    const auto faults = enumerate_faults(nl);
+    const auto pats = patterns_for(nl, 200, seed);
+    // Region members under the full-scan view: one combinational fanout,
+    // not observed.
+    std::vector<char> full(nl.size(), 0);
+    for (GateId g : full_scan_view(nl)) full[g] = 1;
+    std::vector<GateId> members;
+    for (GateId g = 0; g < nl.size(); ++g) {
+      const auto& fo = nl.fanout(g);
+      if (fo.size() == 1 && is_combinational(nl.type(fo[0])) && !full[g]) {
+        members.push_back(g);
+      }
+    }
+    ASSERT_GE(members.size(), 6u);
+    // Set A: a few outputs plus every third member; set B: other members
+    // only, so A's stems fall back inside regions.
+    std::vector<GateId> a(nl.outputs().begin(), nl.outputs().begin() + 2);
+    std::vector<GateId> b;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      (i % 3 == 0 ? a : b).push_back(members[i]);
+    }
+    const auto want_full =
+        two_valued_first_detections(nl, pats, faults, full_scan_view(nl));
+    const auto want_a = two_valued_first_detections(nl, pats, faults, a);
+    const auto want_b = two_valued_first_detections(nl, pats, faults, b);
+    ASSERT_NE(want_a, want_full);
+    ASSERT_NE(want_a, want_b);
+    const std::vector<GateId> bad = {members.front(),
+                                     static_cast<GateId>(nl.size())};
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      ParallelFaultSimulator sim(nl, threads);
+      EXPECT_EQ(want_full, sim.run(pats, faults).first_detected_by);
+      sim.set_observation_points(a);
+      EXPECT_EQ(want_a, sim.run(pats, faults).first_detected_by);
+      EXPECT_THROW(sim.set_observation_points(bad), std::out_of_range);
+      EXPECT_EQ(want_a, sim.run(pats, faults).first_detected_by);
+      sim.set_observation_points(b);
+      EXPECT_EQ(want_b, sim.run(pats, faults, /*drop_detected=*/false)
+                            .first_detected_by);
+      sim.reset_observation_points();
+      EXPECT_EQ(want_full, sim.run(pats, faults).first_detected_by);
+    }
+  }
+}
+
+// A fault site outside the netlist is rejected before any state changes.
+TEST(StemRegions, RejectsFaultSitesOutsideTheNetlist) {
+  const Netlist nl = make_c17();
+  const auto faults = enumerate_faults(nl);
+  const auto pats = patterns_for(nl, 20, 9);
+  ParallelFaultSimulator sim(nl, 2);
+  const auto before = sim.run(pats, faults);
+  const GateId nand = nl.fanout(nl.inputs().front()).front();
+  for (const Fault& bad : {Fault{static_cast<GateId>(nl.size()), -1, false},
+                           Fault{nand, 2, true}}) {
+    std::vector<Fault> with_bad = faults;
+    with_bad.push_back(bad);
+    EXPECT_THROW(sim.run(pats, with_bad), std::out_of_range);
+  }
+  EXPECT_EQ(before.first_detected_by, sim.run(pats, faults).first_detected_by);
+}
+
 // --- Every thread count agrees at every word width ------------------------
 
 // The many-block input of the width tests: two-plus 512-bit words with a
@@ -392,6 +653,7 @@ struct WorkCounts {
   std::uint64_t blocks = 0;
   std::uint64_t dropped = 0;
   std::uint64_t detections = 0;
+  std::uint64_t stems = 0;
 
   static WorkCounts read() {
     obs::Registry& reg = obs::Registry::global();
@@ -400,12 +662,14 @@ struct WorkCounts {
             reg.counter("fault_sim.ppsfp.faults_simulated").value(),
             reg.counter("fault_sim.ppsfp.pattern_blocks").value(),
             reg.counter("fault_sim.ppsfp.faults_dropped").value(),
-            reg.counter("fault_sim.ppsfp.detections").value()};
+            reg.counter("fault_sim.ppsfp.detections").value(),
+            reg.counter("fault_sim.ppsfp.stems_propagated").value()};
   }
   WorkCounts operator-(const WorkCounts& o) const {
     return {gates - o.gates,     events - o.events,
             faults - o.faults,   blocks - o.blocks,
-            dropped - o.dropped, detections - o.detections};
+            dropped - o.dropped, detections - o.detections,
+            stems - o.stems};
   }
 };
 
@@ -416,10 +680,11 @@ WorkCounts counted_run(Engine& eng, const ManyBlockInput& in, bool drop) {
   return WorkCounts::read() - before;
 }
 
-// Blocks run in order and every fault is simulated by one worker per
-// block, so every thread count does the one-thread engine's work: the same
-// faults simulated (cross-block drops included), gates evaluated, events
-// scheduled, and pattern blocks counted once each. A dropped fault is
+// Blocks run in order, the region chunks are fixed before the run and every
+// region is simulated by one worker per block, so every thread count does
+// the one-thread engine's work: the same faults simulated (cross-block
+// drops included), stems propagated, gates evaluated, events scheduled,
+// and pattern blocks counted once each. A dropped fault is
 // counted once, when it is detected, not again in each block that skips
 // it.
 template <typename EB>
@@ -432,6 +697,7 @@ void check_work_counts_for_backend(const char* tag) {
     SCOPED_TRACE(drop ? "dropping" : "no dropping");
     const WorkCounts ref = counted_run(single, in, drop);
     ASSERT_GT(ref.gates, 0u);
+    ASSERT_GT(ref.stems, 0u);
     const std::size_t bits = BasicParallelFaultSimulator<EB>::Traits::kBits;
     ASSERT_EQ(ref.blocks, (in.pats.size() + bits - 1) / bits);
     ASSERT_GT(ref.detections, 0u);
@@ -446,6 +712,7 @@ void check_work_counts_for_backend(const char* tag) {
       EXPECT_EQ(got.blocks, ref.blocks);
       EXPECT_EQ(got.dropped, ref.dropped);
       EXPECT_EQ(got.detections, ref.detections);
+      EXPECT_EQ(got.stems, ref.stems);
     }
   }
 }
