@@ -34,8 +34,15 @@
 // Both modes also time the scalar four-valued CombSim good machine on the
 // 20k-gate circuit (1024 LFSR patterns, one pass each, as a BIST signature
 // runs it) and report "bench.comb_sim.rand20k.ns_per_gate_eval".
+//
+// The lane-choice ablation grades with fault dropping, as every toolkit
+// caller does, on the 64-bit lane, the widest lane and the DFT_SIMD=auto
+// engine (64-bit head, widest-lane tail): rand2k at 64, 2048 and 8192
+// patterns and rand20k at 1024, on 1 and 4 threads (smoke: rand2k at 2048
+// on 1 thread). ctest gates the committed full run's rand20k row.
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <random>
@@ -77,18 +84,19 @@ struct EventCounters {
   }
 };
 
-// `reps` timed runs of `eng` (after the caller's warmup); returns the
-// minimum wall time and leaves the (deterministic) result in *out.
+// `reps` timed runs of `eng` (after the caller's warmup), without fault
+// dropping unless `drop` is set; returns the minimum wall time and leaves
+// the (deterministic) result in *out.
 template <typename Engine>
 double timed_min(Engine& eng, const std::string& section,
                  const std::vector<SourceVector>& pats,
                  const std::vector<Fault>& faults, int reps,
-                 FaultSimResult* out) {
+                 FaultSimResult* out, bool drop = false) {
   double best = 1e30;
   for (int r = 0; r < reps; ++r) {
     double t = 0;
     *out = bench::timed(section, &t,
-                        [&] { return eng.run(pats, faults, false); });
+                        [&] { return eng.run(pats, faults, drop); });
     best = std::min(best, t);
   }
   return best;
@@ -272,6 +280,83 @@ double width_ablation(const Netlist& nl, const std::string& tag,
   return ratio;
 }
 
+// The DFT_SIMD=auto engine, whatever DFT_SIMD says in this process: the
+// factory reads the policy when it builds the engine.
+std::unique_ptr<FaultSimEngine> make_auto_engine(const Netlist& nl,
+                                                 int threads) {
+  const char* cur = std::getenv("DFT_SIMD");
+  const std::string saved = cur != nullptr ? cur : "";
+  setenv("DFT_SIMD", "auto", 1);
+  auto eng = make_fault_sim_engine(nl, threads);
+  if (cur != nullptr) {
+    setenv("DFT_SIMD", saved.c_str(), 1);
+  } else {
+    unsetenv("DFT_SIMD");
+  }
+  return eng;
+}
+
+// Lane choice with fault dropping, the way every toolkit caller grades: the
+// 64-bit lane, the widest lane this host offers, and the auto engine (a
+// 64-bit head over the first 64 patterns, the widest lane for the faults it
+// leaves), at each of `patterns` and each of `threads`. Every engine gets
+// one untimed run of the full pattern set first, so the auto engine's
+// wide tail is built outside the timed rows, and every result is checked
+// against the 64-bit one. Reports
+// "event_kernel.<tag>.drop_p<N>.t<T>.{x1,widest,auto}"; returns false on
+// divergence.
+bool drop_ablation(const Netlist& nl, const std::string& tag,
+                     const std::vector<int>& patterns,
+                     const std::vector<int>& threads, int reps) {
+  const CollapseResult col = collapse_faults(nl);
+  const simd::Lane widest = simd::available_lanes().back();
+  std::printf("  %s lane choice with dropping (widest lane %s):\n",
+              tag.c_str(), std::string(simd::lane_name(widest)).c_str());
+  for (const int n : patterns) {
+    std::mt19937_64 rng(7);
+    std::vector<SourceVector> pats;
+    pats.reserve(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) pats.push_back(random_source_vector(nl, rng));
+    for (const int t : threads) {
+      const std::string row =
+          tag + ".drop_p" + std::to_string(n) + ".t" + std::to_string(t);
+      struct Column {
+        const char* name;
+        std::unique_ptr<FaultSimEngine> eng;
+        double sec = 0;
+      };
+      Column cols[] = {
+          {"x1",
+           make_fault_sim_engine(nl, t, FaultSimKernel::Event,
+                                 simd::Lane::Off)},
+          {"widest", make_fault_sim_engine(nl, t, FaultSimKernel::Event,
+                                           widest)},
+          {"auto", make_auto_engine(nl, t)}};
+      FaultSimResult ref;
+      for (Column& c : cols) {
+        (void)c.eng->run(pats, col.representatives, true);
+        FaultSimResult r;
+        c.sec = timed_min(*c.eng, "event_kernel." + row + "." + c.name +
+                                      ".wall",
+                          pats, col.representatives, reps, &r, true);
+        if (&c == &cols[0]) {
+          ref = r;
+        } else if (r.first_detected_by != ref.first_detected_by) {
+          std::fprintf(stderr, "FAIL %s: %s detections diverge from x1\n",
+                       row.c_str(), c.name);
+          return false;
+        }
+        bench::report_value("event_kernel." + row + "." + c.name, c.sec);
+      }
+      std::printf("      %5d patterns x%d  64-bit %8.4fs  widest %8.4fs  "
+                  "auto %8.4fs  (auto %.2fx vs widest)\n",
+                  n, t, cols[0].sec, cols[1].sec, cols[2].sec,
+                  cols[1].sec / std::max(1e-9, cols[2].sec));
+    }
+  }
+  return true;
+}
+
 // The scalar four-valued good machine alone, driven as a BIST signature
 // drives it: one CombSim pass per pattern of a 24-bit LFSR, 1024 patterns.
 // Reports the minimum over `reps` runs as the cost of one gate evaluation.
@@ -390,9 +475,38 @@ int main(int argc, char** argv) {
     comb_sim_row(nl, "rand20k", reps);
   }
 
+  // Lane choice with dropping: short and long runs on rand2k, the BIST
+  // grading run on rand20k; smoke keeps one rand2k row.
+  std::printf("\n");
+  {
+    RandomCircuitSpec spec;
+    spec.num_inputs = 40;
+    spec.num_outputs = 24;
+    spec.num_gates = 2000;
+    spec.max_fanin = 4;
+    spec.seed = 99;
+    const Netlist nl = make_random_combinational(spec);
+    const std::vector<int> patterns =
+        smoke ? std::vector<int>{2048} : std::vector<int>{64, 2048, 8192};
+    const std::vector<int> threads =
+        smoke ? std::vector<int>{1} : std::vector<int>{1, 4};
+    if (!drop_ablation(nl, "rand2k", patterns, threads, reps)) return 1;
+  }
+  if (!smoke) {
+    RandomCircuitSpec spec;
+    spec.num_inputs = 64;
+    spec.num_outputs = 48;
+    spec.num_gates = 20000;
+    spec.max_fanin = 4;
+    spec.seed = 1234;
+    const Netlist nl = make_random_combinational(spec);
+    if (!drop_ablation(nl, "rand20k", {1024}, {1, 4}, reps)) return 1;
+  }
+
   std::printf("\n  expected shape: threads never slower than one thread\n"
-              "  on the large circuits, and the widest pattern word at\n"
-              "  least matching the 64-bit scalar.\n");
+              "  on the large circuits, the widest pattern word at\n"
+              "  least matching the 64-bit scalar without dropping, and\n"
+              "  auto never slower than the widest lane with dropping.\n");
   if (!bench::emit_report(args, "bench_event_kernel",
                           {{"smoke", smoke ? "1" : "0"}})) {
     return 1;

@@ -219,13 +219,21 @@ int run_tool(const std::vector<std::string>& args,
       }
       std::printf("%s\n", line.c_str());
     } else {
+      // Under auto a dropping run grades its first 64 patterns at 64 bits
+      // and the rest at the resolved lane.
+      const bool head = simd::resolves_auto();
       std::printf("available pattern-word lanes:\n");
       for (const simd::Lane l : lanes) {
+        const char* mark = "";
+        if (l == active) {
+          mark = "  <-- active";
+        } else if (head && l == simd::Lane::Off) {
+          mark = "  <-- active for a dropping run's first 64 patterns";
+        }
         std::printf("  %-8s %3d patterns/word  tag=%-10s%s\n",
                     std::string(simd::lane_name(l)).c_str(),
                     simd::lane_bits(l),
-                    std::string(simd::lane_tag(l)).c_str(),
-                    l == active ? "  <-- active" : "");
+                    std::string(simd::lane_tag(l)).c_str(), mark);
       }
       std::printf("resolved lane: %s (%s)\n",
                   std::string(simd::lane_name(active)).c_str(),

@@ -57,15 +57,18 @@ void FaultSimEngine::emit_progress(std::uint64_t patterns, int detected,
                                    std::size_t total, std::uint64_t items_done,
                                    std::uint64_t items_total,
                                    const guard::Budget* budget) const {
+  const ProgressPrefix& pre = progress_prefix_;
+  detected += pre.detected;
+  total += static_cast<std::size_t>(pre.detected);
   obs::Progress p;
   p.phase = progress_phase_;
   if (total > 0) {
     p.coverage_pct =
         100.0 * static_cast<double>(detected) / static_cast<double>(total);
   }
-  p.patterns = patterns;
-  p.items_done = items_done;
-  p.items_total = items_total;
+  p.patterns = pre.patterns + patterns;
+  p.items_done = pre.blocks + items_done;
+  p.items_total = pre.blocks + items_total;
   if (budget != nullptr) p.budget_remaining_ms = budget->remaining_ms();
   obs::ProgressSink::global().maybe_emit(p);
 }

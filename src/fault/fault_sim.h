@@ -137,6 +137,20 @@ class FaultSimEngine {
   }
   const std::string& progress_phase() const { return progress_phase_; }
 
+  // Places this engine's runs after a finished prefix of a larger run: the
+  // progress it emits adds the prefix's patterns and blocks to its own, and
+  // counts the prefix's detected faults, which the run is not given, in
+  // both its detections and its fault total. The auto-lane engine
+  // (fault/threaded_fault_sim.h) sets it on the engine grading its tail.
+  struct ProgressPrefix {
+    std::uint64_t patterns = 0;
+    int detected = 0;
+    std::uint64_t blocks = 0;
+  };
+  void set_progress_prefix(ProgressPrefix prefix) {
+    progress_prefix_ = prefix;
+  }
+
  protected:
   bool progress_on() const {
     return !progress_phase_.empty() && obs::ProgressSink::global().active();
@@ -149,6 +163,7 @@ class FaultSimEngine {
 
  private:
   std::string progress_phase_;
+  ProgressPrefix progress_prefix_;
 };
 
 // Records the fault_sim.coverage.final_pct obs value (100 * detected /
@@ -253,6 +268,11 @@ class BasicParallelFaultSimulator : public FaultSimEngine {
     std::uint64_t gates_evaluated = 0;
     std::uint64_t faults_simulated = 0;
     std::uint64_t stems_propagated = 0;
+    // eval_with_forced_pin calls by sensitization() and reach(): the
+    // critical-path-tracing work, which gates_evaluated does not count.
+    std::uint64_t trace_evals = 0;
+    // Regions this worker stole, summed over the run's blocks.
+    std::uint64_t regions = 0;
     // death_depth[d] = regions whose stem difference died d levels past
     // the stem (last bucket collects >= kDeathDepthBuckets-1; bucket 0 also
     // holds regions none of whose live faults reached the stem).

@@ -139,6 +139,7 @@ BasicParallelFaultSimulator<EB>::sensitization(Machine& m, GateId g) const {
     const Word& above = m.sens[r.local_of[s]];
     Word w = Traits::zeros();
     if (Traits::any(above)) {
+      ++m.tallies.trace_evals;
       w = above & (m.ev.eval_with_forced_pin(s, r.pin_of[y],
                                              ~m.ev.good_word(y)) ^
                    m.ev.good_word(s));
@@ -154,8 +155,11 @@ typename BasicParallelFaultSimulator<EB>::Word
 BasicParallelFaultSimulator<EB>::reach(Machine& m, const Fault& f,
                                        const Word& valid) const {
   const Word forced = f.sa1 ? Traits::ones() : Traits::zeros();
-  const Word site =
-      f.pin < 0 ? forced : m.ev.eval_with_forced_pin(f.gate, f.pin, forced);
+  Word site = forced;
+  if (f.pin >= 0) {
+    ++m.tallies.trace_evals;
+    site = m.ev.eval_with_forced_pin(f.gate, f.pin, forced);
+  }
   const Word activation = (site ^ m.ev.good_word(f.gate)) & valid;
   if (!Traits::any(activation)) return activation;
   return activation & sensitization(m, f.gate);
@@ -355,6 +359,7 @@ FaultSimResult BasicParallelFaultSimulator<EB>::run(
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= busy.size()) break;
         const std::uint32_t r = busy[i];
+        ++m.tallies.regions;
         const std::span<const std::uint32_t> ids(
             order.data() + fault_begin[r], order.data() + fault_begin[r + 1]);
         found += simulate_region(m, r, faults, ids, drop_detected, valid, base,
@@ -421,13 +426,17 @@ void BasicParallelFaultSimulator<EB>::record_run_obs(const FaultSimResult& res,
     sum.gates_evaluated += m.tallies.gates_evaluated;
     sum.faults_simulated += m.tallies.faults_simulated;
     sum.stems_propagated += m.tallies.stems_propagated;
+    sum.trace_evals += m.tallies.trace_evals;
     for (std::size_t d = 0; d < sum.death_depth.size(); ++d) {
       sum.death_depth[d] += m.tallies.death_depth[d];
     }
+    const std::string worker =
+        "fault_sim.threaded.worker." + std::to_string(w);
     if (m.tallies.faults_simulated != 0) {
-      reg.counter("fault_sim.threaded.worker." + std::to_string(w) +
-                  ".faults")
-          .add(m.tallies.faults_simulated);
+      reg.counter(worker + ".faults").add(m.tallies.faults_simulated);
+    }
+    if (m.tallies.regions != 0) {
+      reg.counter(worker + ".regions").add(m.tallies.regions);
     }
   }
   // The decomposition counter names the one schedule, so reports stay
@@ -461,6 +470,7 @@ void BasicParallelFaultSimulator<EB>::record_run_obs(const FaultSimResult& res,
   reg.counter("fault_sim.event.runs").add(1);
   reg.counter("fault_sim.event.events_scheduled").add(events);
   reg.counter("fault_sim.event.gates_evaluated").add(sum.gates_evaluated);
+  reg.counter("fault_sim.event.trace_evals").add(sum.trace_evals);
   // Frontier-death histogram: bucket d = stem propagations whose difference
   // frontier died d levels past the stem (d=0 also counts regions whose
   // live faults never reached their stem in the block). Flushed as counters

@@ -37,6 +37,7 @@ bool cpu_has_avx512f() {
 struct Resolution {
   Lane lane;
   std::string diagnostic;
+  bool automatic = false;  // the lane came from the auto policy
 };
 
 Lane auto_lane() {
@@ -76,8 +77,11 @@ Resolution resolve_value(const char* value, const char* origin) {
     }
   }
   const Lane l = auto_lane();
-  return {l, std::string(origin) + "=" + value + " -> auto: " +
-                 std::string(lane_name(l))};
+  return {l,
+          std::string(origin) + "=" + value +
+              " -> auto: off for a dropping run's first 64 patterns, " +
+              std::string(lane_name(l)) + " after",
+          true};
 }
 
 Resolution resolve_now() {
@@ -149,15 +153,11 @@ std::vector<Lane> available_lanes() {
   return lanes;
 }
 
-Lane resolve_lane() {
-  // The env var is re-read on every call so a process can sweep lanes
-  // (tests do); the diagnostic below intentionally caches only the first.
-  const char* env = std::getenv("DFT_SIMD");
-  if (env != nullptr && env[0] != '\0') {
-    return resolve_value(env, "env DFT_SIMD").lane;
-  }
-  return resolve_value(DFT_SIMD_DEFAULT, "build DFT_SIMD").lane;
-}
+// The env var is re-read on every call so a process can sweep lanes
+// (tests do); the diagnostic below intentionally caches only the first.
+Lane resolve_lane() { return resolve_now().lane; }
+
+bool resolves_auto() { return resolve_now().automatic; }
 
 std::string_view resolve_diagnostic() { return cached_resolution().diagnostic; }
 

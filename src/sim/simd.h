@@ -14,8 +14,14 @@
 // fuzzers and the dft_simd_parity ctest prove it); they differ only in
 // throughput. Selection order: the DFT_SIMD environment variable if set,
 // else the build-time DFT_SIMD_DEFAULT (CMake -DDFT_SIMD=..., default
-// "auto"), where "auto" picks the widest lane this CPU supports via CPUID
-// (avx512 > avx2 > scalar4). Forcing an ISA the host lacks (or that this
+// "auto"), where "auto" resolves to the widest lane this CPU supports via
+// CPUID (avx512 > avx2 > scalar4). Under "auto" the policy-following
+// engine factories (fault/threaded_fault_sim.h) do not run that lane
+// alone: with fault dropping most faults fall to the first patterns, where
+// a wide word carries every fault through patterns the 64-bit word does
+// not need, so a dropping run grades its first 64 patterns at 64 bits and
+// only the surviving faults at the resolved lane. An explicit value pins
+// one lane for the whole run. Forcing an ISA the host lacks (or that this
 // build could not compile) degrades to the same-width scalar lane, never to
 // a crash: the intrinsic backends are compiled per-function with GCC/Clang
 // target attributes, so no ISA flags leak into the rest of the build and a
@@ -58,13 +64,18 @@ bool host_supports(Lane lane);
 std::vector<Lane> available_lanes();
 
 // Applies the DFT_SIMD env / DFT_SIMD_DEFAULT policy above and returns the
-// lane the engine factories use. Re-reads the environment on every call
-// (engine construction is rare); unsupported forced ISAs degrade to the
-// same-width scalar lane.
+// lane the engine factories use (under "auto", the lane of a run's tail).
+// Re-reads the environment on every call (engine construction is rare);
+// unsupported forced ISAs degrade to the same-width scalar lane.
 Lane resolve_lane();
+// True when resolve_lane()'s answer comes from the "auto" policy: the
+// value is "auto" or unknown (which falls back to auto). False when
+// DFT_SIMD or the build default names a lane.
+bool resolves_auto();
 
 // One-line origin of resolve_lane()'s answer ("env DFT_SIMD=avx2",
-// "auto: cpu has avx512f", ...) for --stats output and bench context.
+// "build DFT_SIMD=auto -> auto: off for a dropping run's first 64
+// patterns, avx512 after", ...) for --stats output and bench context.
 std::string_view resolve_diagnostic();
 
 // lane_bits(resolve_lane()): the block size factory-made engines report

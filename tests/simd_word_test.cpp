@@ -287,6 +287,7 @@ TEST_F(EnvOverride, ForcedLanesResolveOrDegradeToSameWidth) {
   setenv("DFT_SIMD", "off", 1);
   EXPECT_EQ(simd::resolve_lane(), simd::Lane::Off);
   EXPECT_EQ(simd::default_pattern_word_bits(), 64);
+  EXPECT_FALSE(simd::resolves_auto());
 
   setenv("DFT_SIMD", "scalar4", 1);
   EXPECT_EQ(simd::resolve_lane(), simd::Lane::Scalar4);
@@ -304,6 +305,7 @@ TEST_F(EnvOverride, ForcedLanesResolveOrDegradeToSameWidth) {
                                                       : simd::Lane::Scalar4);
   EXPECT_EQ(simd::lane_bits(l2), 256);
   setenv("DFT_SIMD", "avx512", 1);
+  EXPECT_FALSE(simd::resolves_auto());
   const simd::Lane l5 = simd::resolve_lane();
   EXPECT_EQ(l5, simd::host_supports(simd::Lane::Avx512)
                     ? simd::Lane::Avx512
@@ -313,10 +315,12 @@ TEST_F(EnvOverride, ForcedLanesResolveOrDegradeToSameWidth) {
   // auto picks a supported lane (the widest; at minimum it must resolve).
   setenv("DFT_SIMD", "auto", 1);
   EXPECT_TRUE(simd::host_supports(simd::resolve_lane()));
+  EXPECT_TRUE(simd::resolves_auto());
 
   // Unknown values warn (once) and fall back to auto rather than failing.
   setenv("DFT_SIMD", "bogus-lane", 1);
   EXPECT_TRUE(simd::host_supports(simd::resolve_lane()));
+  EXPECT_TRUE(simd::resolves_auto());
 }
 
 }  // namespace

@@ -9,12 +9,16 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "atpg/random_tpg.h"
 #include "circuits/basic.h"
@@ -25,7 +29,10 @@
 #include "fault/fault_sim.h"
 #include "fault/threaded_fault_sim.h"
 #include "guard/guard.h"
+#include "obs/json.h"
 #include "obs/obs.h"
+#include "obs/progress.h"
+#include "serve/cache.h"
 #include "sim/eval.h"
 #include "sim/simd.h"
 #include "sim/thread_pool.h"
@@ -310,6 +317,9 @@ int task_count() {
 TEST(ThreadedFaultSim, PoolStartsOneThreadFewerThanWorkers) {
 #if defined(__linux__)
   const Netlist nl = make_c17();
+  // A thread sanitizer starts a background thread of its own at the
+  // process's first thread creation; make that happen before the count.
+  std::thread([] {}).join();
   const int base = task_count();
   if (base < 0) GTEST_SKIP() << "/proc/self/task is not readable";
   for (int threads : {1, 2, 4}) {
@@ -654,22 +664,33 @@ struct WorkCounts {
   std::uint64_t dropped = 0;
   std::uint64_t detections = 0;
   std::uint64_t stems = 0;
+  std::uint64_t traces = 0;
+  std::uint64_t regions = 0;  // stolen, summed over the workers
 
   static WorkCounts read() {
     obs::Registry& reg = obs::Registry::global();
+    std::uint64_t regions = 0;
+    for (int w = 0; w < 8; ++w) {
+      regions += reg.counter("fault_sim.threaded.worker." +
+                             std::to_string(w) + ".regions")
+                     .value();
+    }
     return {reg.counter("fault_sim.event.gates_evaluated").value(),
             reg.counter("fault_sim.event.events_scheduled").value(),
             reg.counter("fault_sim.ppsfp.faults_simulated").value(),
             reg.counter("fault_sim.ppsfp.pattern_blocks").value(),
             reg.counter("fault_sim.ppsfp.faults_dropped").value(),
             reg.counter("fault_sim.ppsfp.detections").value(),
-            reg.counter("fault_sim.ppsfp.stems_propagated").value()};
+            reg.counter("fault_sim.ppsfp.stems_propagated").value(),
+            reg.counter("fault_sim.event.trace_evals").value(),
+            regions};
   }
   WorkCounts operator-(const WorkCounts& o) const {
     return {gates - o.gates,     events - o.events,
             faults - o.faults,   blocks - o.blocks,
             dropped - o.dropped, detections - o.detections,
-            stems - o.stems};
+            stems - o.stems,     traces - o.traces,
+            regions - o.regions};
   }
 };
 
@@ -684,7 +705,8 @@ WorkCounts counted_run(Engine& eng, const ManyBlockInput& in, bool drop) {
 // region is simulated by one worker per block, so every thread count does
 // the one-thread engine's work: the same faults simulated (cross-block
 // drops included), stems propagated, gates evaluated, events scheduled,
-// and pattern blocks counted once each. A dropped fault is
+// sensitization traces, regions stolen over all workers, and pattern
+// blocks counted once each. A dropped fault is
 // counted once, when it is detected, not again in each block that skips
 // it.
 template <typename EB>
@@ -698,6 +720,8 @@ void check_work_counts_for_backend(const char* tag) {
     const WorkCounts ref = counted_run(single, in, drop);
     ASSERT_GT(ref.gates, 0u);
     ASSERT_GT(ref.stems, 0u);
+    ASSERT_GT(ref.traces, 0u);
+    ASSERT_GT(ref.regions, 0u);
     const std::size_t bits = BasicParallelFaultSimulator<EB>::Traits::kBits;
     ASSERT_EQ(ref.blocks, (in.pats.size() + bits - 1) / bits);
     ASSERT_GT(ref.detections, 0u);
@@ -713,6 +737,8 @@ void check_work_counts_for_backend(const char* tag) {
       EXPECT_EQ(got.dropped, ref.dropped);
       EXPECT_EQ(got.detections, ref.detections);
       EXPECT_EQ(got.stems, ref.stems);
+      EXPECT_EQ(got.traces, ref.traces);
+      EXPECT_EQ(got.regions, ref.regions);
     }
   }
 }
@@ -786,6 +812,239 @@ TEST(ThreadedFaultSim, BudgetPartialIsACleanPrefixAtEveryThreadCount) {
     EXPECT_EQ(again.first_detected_by, full.first_detected_by);
   }
 }
+
+// --- DFT_SIMD=auto: a 64-bit head, the widest lane for the tail ----------
+
+// Sets DFT_SIMD for one scope and restores the previous value after it.
+class ScopedSimd {
+ public:
+  explicit ScopedSimd(const char* value) {
+    const char* cur = std::getenv("DFT_SIMD");
+    had_ = cur != nullptr;
+    if (had_) saved_ = cur;
+    setenv("DFT_SIMD", value, 1);
+  }
+  ~ScopedSimd() {
+    if (had_) {
+      setenv("DFT_SIMD", saved_.c_str(), 1);
+    } else {
+      unsetenv("DFT_SIMD");
+    }
+  }
+  ScopedSimd(const ScopedSimd&) = delete;
+  ScopedSimd& operator=(const ScopedSimd&) = delete;
+
+ private:
+  bool had_ = false;
+  std::string saved_;
+};
+
+std::unique_ptr<FaultSimEngine> make_auto_engine(const Netlist& nl,
+                                                 int threads) {
+  const ScopedSimd env("auto");
+  return make_fault_sim_engine(nl, threads);
+}
+
+// The auto engine answers as the forced 64-bit engine does at every thread
+// count, on both sides of the 64-pattern head and with or without
+// dropping, on the built-in corpus and on random DAGs of every gate kind.
+TEST(AutoLane, MatchesThe64BitEngine) {
+  std::vector<Netlist> corpus;
+  for (const char* name : {"c17", "adder4", "mult3", "dec3", "parity8",
+                           "mux3", "cmp4", "sn74181", "counter8", "accum4"}) {
+    corpus.push_back(serve::builtin_circuit(name));
+  }
+  for (std::uint64_t seed : {21u, 22u, 23u, 24u}) {
+    corpus.push_back(make_region_dag(seed, /*buses=*/seed % 2 == 0));
+  }
+  for (const Netlist& nl : corpus) {
+    SCOPED_TRACE(nl.name() + " (" + std::to_string(nl.size()) + " gates)");
+    const auto faults = collapse_faults(nl).representatives;
+    const auto all = patterns_for(nl, 2048, nl.size());
+    std::vector<std::vector<SourceVector>> runs;
+    std::vector<FaultSimResult> wants;
+    ParallelFaultSimulator ref_engine(nl);
+    for (std::size_t n : {1u, 63u, 64u, 65u, 577u, 2048u}) {
+      runs.emplace_back(all.begin(),
+                        all.begin() + static_cast<std::ptrdiff_t>(n));
+      wants.push_back(ref_engine.run(runs.back(), faults));
+    }
+    for (int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      const auto eng = make_auto_engine(nl, threads);
+      EXPECT_EQ(eng->name(), "event");
+      for (std::size_t k = 0; k < runs.size(); ++k) {
+        SCOPED_TRACE(std::to_string(runs[k].size()) + " patterns");
+        for (bool drop : {true, false}) {
+          SCOPED_TRACE(drop ? "dropping" : "no dropping");
+          const FaultSimResult got = eng->run(runs[k], faults, drop);
+          ASSERT_EQ(got.first_detected_by, wants[k].first_detected_by);
+          ASSERT_EQ(got.num_detected, wants[k].num_detected);
+          ASSERT_EQ(got.status, guard::RunStatus::Completed);
+        }
+      }
+    }
+  }
+}
+
+// A budget that runs out in the head stops the run after the first 64
+// patterns; one that runs out in the tail stops it after the tail's first
+// word. Either way the partial is the full run restricted to the charged
+// prefix.
+TEST(AutoLane, BudgetPartialIsACleanPrefixInTheHeadAndTheTail) {
+  RandomCircuitSpec spec;
+  spec.num_inputs = 24;
+  spec.num_outputs = 12;
+  spec.num_gates = 400;
+  spec.max_fanin = 4;
+  spec.seed = 12;
+  const Netlist nl = make_random_combinational(spec);
+  const auto faults = enumerate_faults(nl);
+  const auto pats = patterns_for(nl, 2048, 12);
+  const FaultSimResult full = ParallelFaultSimulator(nl).run(pats, faults);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const auto eng = make_auto_engine(nl, threads);
+    const std::size_t tail_word =
+        static_cast<std::size_t>(eng->pattern_word_bits());
+    // The head charges 64 patterns and the tail one word per block.
+    for (const auto& [limit, prefix] :
+         {std::pair<std::uint64_t, std::size_t>{10, 64},
+          std::pair<std::uint64_t, std::size_t>{100, 64 + tail_word}}) {
+      SCOPED_TRACE("pattern limit " + std::to_string(limit));
+      guard::Budget budget;
+      budget.set_pattern_limit(limit);
+      const FaultSimResult r = eng->run(pats, faults, true, &budget);
+      EXPECT_EQ(r.status, guard::RunStatus::DeadlineExpired);
+      ASSERT_EQ(r.first_detected_by.size(), faults.size());
+      int recorded = 0;
+      for (std::size_t i = 0; i < faults.size(); ++i) {
+        const int fd = full.first_detected_by[i];
+        const int want = fd >= 0 && static_cast<std::size_t>(fd) < prefix
+                             ? fd
+                             : -1;
+        ASSERT_EQ(r.first_detected_by[i], want) << "fault " << i;
+        if (want >= 0) ++recorded;
+      }
+      EXPECT_EQ(r.num_detected, recorded);
+      EXPECT_LT(recorded, full.num_detected);
+    }
+    EXPECT_EQ(eng->run(pats, faults).first_detected_by,
+              full.first_detected_by);
+  }
+}
+
+// Each progress event counts the patterns of the whole run and the
+// detections over the whole fault list: its coverage is exactly the share
+// of faults the merged result detects before its pattern count, so the
+// events never go backwards and end at the run's coverage.
+TEST(AutoLane, ProgressCountsTheWholeRunAndFaultList) {
+  RandomCircuitSpec spec;
+  spec.num_inputs = 24;
+  spec.num_outputs = 12;
+  spec.num_gates = 400;
+  spec.max_fanin = 4;
+  spec.seed = 31;
+  const Netlist nl = make_random_combinational(spec);
+  const auto faults = enumerate_faults(nl);
+  const auto pats = patterns_for(nl, 1500, 31);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const auto eng = make_auto_engine(nl, threads);
+    eng->set_progress_phase("auto_lane_test");
+    std::FILE* f = std::tmpfile();
+    ASSERT_NE(f, nullptr);
+    obs::ProgressSink::global().start(f, 0);
+    const FaultSimResult res = eng->run(pats, faults);
+    obs::ProgressSink::global().stop();
+    std::rewind(f);
+    std::vector<std::string> lines(1);
+    for (int ch; (ch = std::fgetc(f)) != EOF;) {
+      if (ch == '\n') {
+        lines.emplace_back();
+      } else {
+        lines.back() += static_cast<char>(ch);
+      }
+    }
+    std::fclose(f);
+    lines.pop_back();
+    const std::size_t tail_word =
+        static_cast<std::size_t>(eng->pattern_word_bits());
+    // The head's event, then one per tail word.
+    ASSERT_EQ(lines.size(), 1 + (pats.size() - 64 + tail_word - 1) / tail_word);
+    double last_patterns = 0;
+    double last_coverage = 0;
+    for (const std::string& line : lines) {
+      SCOPED_TRACE(line);
+      const obs::Json j = obs::parse_json(line);
+      const double patterns = j.find("patterns")->as_number();
+      const double coverage = j.find("coverage_pct")->as_number();
+      const auto before = std::count_if(
+          res.first_detected_by.begin(), res.first_detected_by.end(),
+          [&](int fd) { return fd >= 0 && fd < patterns; });
+      EXPECT_NEAR(coverage,
+                  100.0 * static_cast<double>(before) /
+                      static_cast<double>(faults.size()),
+                  1e-9);
+      EXPECT_GT(patterns, last_patterns);
+      EXPECT_GE(coverage, last_coverage);
+      last_patterns = patterns;
+      last_coverage = coverage;
+    }
+    EXPECT_EQ(last_patterns, static_cast<double>(pats.size()));
+    EXPECT_NEAR(last_coverage, 100.0 * res.coverage(), 1e-9);
+  }
+}
+
+// The run's obs: fault_sim.coverage.final_pct is the merged coverage, not
+// the tail's share of the survivors, and fault_sim.auto.tail_faults counts
+// the faults the head left, at every thread count.
+TEST(AutoLane, RecordsTheMergedCoverageAndTheTailFaults) {
+  obs::set_enabled(true);
+  const Netlist nl = serve::builtin_circuit("rand2k");
+  const auto faults = collapse_faults(nl).representatives;
+  const auto pats = patterns_for(nl, 700, 5);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const auto eng = make_auto_engine(nl, threads);
+    obs::Counter& tail = obs::Registry::global().counter(
+        "fault_sim.auto.tail_faults");
+    const std::uint64_t before = tail.value();
+    const FaultSimResult res = eng->run(pats, faults);
+    const auto survivors = std::count_if(
+        res.first_detected_by.begin(), res.first_detected_by.end(),
+        [](int fd) { return fd < 0 || fd >= 64; });
+    ASSERT_GT(survivors, 0);
+    EXPECT_EQ(tail.value() - before, static_cast<std::uint64_t>(survivors));
+    EXPECT_DOUBLE_EQ(obs::Registry::global()
+                         .value("fault_sim.coverage.final_pct")
+                         .value(),
+                     100.0 * res.coverage());
+  }
+}
+
+#if defined(__linux__)
+// A run of at most 64 patterns never leaves the 64-bit engine, so it
+// starts only that engine's threads - 1 pool threads; the first run that
+// needs the wide lane builds its engine.
+TEST(AutoLane, BuildsTheWideEngineOnFirstUse) {
+  const Netlist nl = make_sn74181();
+  const auto faults = collapse_faults(nl).representatives;
+  const auto pats = patterns_for(nl, 65, 8);
+  const std::vector<SourceVector> head(pats.begin(), pats.begin() + 64);
+  std::thread([] {}).join();  // see PoolStartsOneThreadFewerThanWorkers
+  const int base = task_count();
+  if (base < 0) GTEST_SKIP() << "/proc/self/task is not readable";
+  constexpr int kThreads = 4;
+  const auto eng = make_auto_engine(nl, kThreads);
+  EXPECT_EQ(task_count() - base, kThreads - 1);
+  (void)eng->run(head, faults);
+  (void)eng->run(head, faults, /*drop_detected=*/false);
+  EXPECT_EQ(task_count() - base, kThreads - 1);
+  (void)eng->run(pats, faults, /*drop_detected=*/false);
+  EXPECT_EQ(task_count() - base, 2 * (kThreads - 1));
+}
+#endif
 
 // --- Regression: validation is hoisted before any state mutation ----------
 
