@@ -6,7 +6,6 @@
 #include "circuits/sn74181.h"
 #include "fault/threaded_fault_sim.h"
 #include "sim/comb_sim.h"
-#include "sim/parallel_sim.h"
 #include "sim/thread_pool.h"
 
 namespace dft {

@@ -14,7 +14,9 @@ namespace dft {
 namespace {
 
 // Applies all 2^n patterns 64 at a time and accumulates per-output ones
-// counts; optionally with a fault. Storage-free circuits only.
+// counts; optionally with a fault, whose faulty machine is the good
+// machine with the site forced and only its fanout cone re-evaluated.
+// Storage-free circuits only.
 std::vector<std::uint64_t> count_ones(const Netlist& nl, const Fault* f) {
   const std::size_t n = nl.inputs().size();
   if (!nl.storage().empty()) {
@@ -22,28 +24,11 @@ std::vector<std::uint64_t> count_ones(const Netlist& nl, const Fault* f) {
   }
   if (n > 26) throw std::invalid_argument("too many inputs for exhaustion");
 
-  // For faulty counting we reuse the parallel simulator and inject via a
-  // forced word on the fault site (output faults) or a per-gate override
-  // pattern (pin faults) by exploiting the fault cone like PPSFP -- but the
-  // simplest exact method at this scale is to re-evaluate the whole network
-  // with the fault folded into the evaluation. We do that by simulating the
-  // good machine, then for the faulty machine forcing the site and
-  // re-evaluating its cone only.
   ParallelSim sim(nl);
   const std::size_t total = 1ull << n;
   std::vector<std::uint64_t> counts(nl.outputs().size(), 0);
-
-  // Pre-sort the fault cone for faulty evaluation.
-  std::vector<GateId> cone;
-  if (f != nullptr) {
-    cone = nl.fanout_cone(f->gate);
-    const auto& levels = nl.levels();
-    std::erase_if(cone, [&](GateId c) {
-      return c == f->gate || !is_combinational(nl.type(c));
-    });
-    std::sort(cone.begin(), cone.end(),
-              [&](GateId a, GateId b) { return levels[a] < levels[b]; });
-  }
+  const std::vector<GateId> cone =
+      f != nullptr ? sim.cone_of(f->gate) : std::vector<GateId>{};
 
   for (std::uint64_t base = 0; base < total; base += 64) {
     const std::uint64_t blk = std::min<std::uint64_t>(64, total - base);
@@ -198,17 +183,13 @@ HeldInputTest syndrome_test_with_held_input(const Netlist& nl,
   if (n > 22) throw std::invalid_argument("too many inputs");
   HeldInputTest out;
 
+  // Every block sets all inputs and re-evaluates the whole good machine,
+  // so one simulator serves every held input and value.
+  ParallelSim sim(nl);
+  const std::vector<GateId> cone = sim.cone_of(f.gate);
   for (std::size_t i = 0; i < n && !out.testable; ++i) {
     for (int v = 0; v < 2 && !out.testable; ++v) {
       // Count ones over patterns with input i == v, good vs faulty.
-      ParallelSim sim(nl);
-      std::vector<GateId> cone = nl.fanout_cone(f.gate);
-      const auto& levels = nl.levels();
-      std::erase_if(cone, [&](GateId c) {
-        return c == f.gate || !is_combinational(nl.type(c));
-      });
-      std::sort(cone.begin(), cone.end(),
-                [&](GateId a, GateId b) { return levels[a] < levels[b]; });
       const std::uint64_t total = 1ull << n;
       // Subcube ones-counts, good vs faulty, accumulated over all blocks:
       // a syndrome is a count, so the comparison happens on the totals.
@@ -235,6 +216,7 @@ HeldInputTest syndrome_test_with_held_input(const Netlist& nl,
           good_count[o] += std::popcount(sim.word(nl.outputs()[o]) & subcube);
         }
         const std::uint64_t forced = f.sa1 ? ~0ull : 0ull;
+        const std::uint64_t good_site = sim.word(f.gate);
         const std::uint64_t site =
             f.pin < 0 ? forced
                       : sim.eval_with_forced_pin(f.gate, f.pin, forced);
@@ -243,6 +225,9 @@ HeldInputTest syndrome_test_with_held_input(const Netlist& nl,
         for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
           bad_count[o] += std::popcount(sim.word(nl.outputs()[o]) & subcube);
         }
+        // evaluate() recomputes the cone but not a constant site, so the
+        // next block's good machine needs the site restored.
+        sim.force_word(f.gate, good_site);
       }
       if (good_count != bad_count) {
         out.testable = true;

@@ -24,16 +24,8 @@ long long coefficient(const Netlist& nl, std::size_t output_index,
     throw std::invalid_argument("Walsh testing needs combinational logic");
   }
   ParallelSim sim(nl);
-  std::vector<GateId> cone;
-  if (f != nullptr) {
-    cone = nl.fanout_cone(f->gate);
-    const auto& levels = nl.levels();
-    std::erase_if(cone, [&](GateId c) {
-      return c == f->gate || !is_combinational(nl.type(c));
-    });
-    std::sort(cone.begin(), cone.end(),
-              [&](GateId a, GateId b) { return levels[a] < levels[b]; });
-  }
+  const std::vector<GateId> cone =
+      f != nullptr ? sim.cone_of(f->gate) : std::vector<GateId>{};
 
   const GateId po = nl.outputs()[output_index];
   const std::uint64_t total = 1ull << n;

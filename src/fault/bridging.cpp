@@ -102,11 +102,14 @@ double bridge_coverage(const Netlist& nl,
                        const std::vector<SourceVector>& patterns) {
   if (bridges.empty()) return 1.0;
   int caught = 0;
+  // Every block re-evaluates the whole good machine, so one serves every
+  // bridge.
+  ParallelSim good(nl);
   for (const BridgingFault& br : bridges) {
     // Bit-parallel: simulate the bridged netlist against the original on
     // all patterns at once.
     const Netlist bad_nl = make_bridged_netlist(nl, br);
-    ParallelSim good(nl), bad(bad_nl);
+    ParallelSim bad(bad_nl);
     bool det = false;
     for (std::size_t base = 0; base < patterns.size() && !det; base += 64) {
       const std::size_t blk = std::min<std::size_t>(64, patterns.size() - base);

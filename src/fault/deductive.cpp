@@ -192,7 +192,7 @@ std::vector<char> DeductiveFaultSimulator::detected(
 FaultSimResult DeductiveFaultSimulator::run(
     const std::vector<SourceVector>& patterns, const std::vector<Fault>& faults,
     bool drop_detected, const guard::Budget* budget) {
-  validate_patterns(*nl_, patterns, /*require_binary=*/true);
+  validate_patterns(source_count(*nl_), patterns, /*require_binary=*/true);
   const bool guarded = budget != nullptr && budget->limited();
   FaultSimResult res;
   res.first_detected_by.assign(faults.size(), -1);

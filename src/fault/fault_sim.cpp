@@ -27,10 +27,9 @@ void random_fill(SourceVector& v, std::mt19937_64& rng) {
   }
 }
 
-void validate_patterns(const Netlist& nl,
+void validate_patterns(std::size_t ns,
                        const std::vector<SourceVector>& patterns,
                        bool require_binary) {
-  const std::size_t ns = source_count(nl);
   for (std::size_t p = 0; p < patterns.size(); ++p) {
     if (patterns[p].size() != ns) {
       throw std::invalid_argument(
@@ -155,7 +154,7 @@ bool SerialFaultSimulator::detects(const SourceVector& pattern,
 FaultSimResult SerialFaultSimulator::run(
     const std::vector<SourceVector>& patterns, const std::vector<Fault>& faults,
     bool drop_detected, const guard::Budget* budget) {
-  validate_patterns(*nl_, patterns, /*require_binary=*/false);
+  validate_patterns(source_count(*nl_), patterns, /*require_binary=*/false);
   FaultSimResult res;
   res.first_detected_by.assign(faults.size(), -1);
   const bool guarded = budget != nullptr && budget->limited();

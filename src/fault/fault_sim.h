@@ -13,8 +13,8 @@
 //    simulated by stem region (Lee and Ha, ITC 1991): a gate with one
 //    combinational fanout that is not observed belongs to the fanout-free
 //    region of that fanout; every other gate is a stem heading its own
-//    region. Per block the good machine is evaluated once and shared, then
-//    the workers steal regions. A region is traced backwards from its stem
+//    region. Per block the good machine (sim/parallel_sim.h) is evaluated
+//    once and shared, then the workers steal regions. A region is traced backwards from its stem
 //    (critical path tracing, Abramovici, Menon and Miller, IEEE D&T 1984),
 //    which gives each gate the patterns in which flipping it flips the
 //    stem, and the stem is propagated once by the compiled-netlist
@@ -23,7 +23,8 @@
 //    activation AND its sensitization to the stem AND the stem's
 //    observability -- exact per bit, since each bit is one single-fault
 //    machine and a region is a tree. Results and work counts are the same
-//    at every thread count and word width.
+//    at every thread count and word width. The engine reads only its
+//    CompiledNetlist, so it outlives the netlist it was compiled from.
 //    `ParallelFaultSimulator` names the classic 64-bit instantiation.
 //  * DeductiveFaultSimulator (deductive.h) -- Armstrong-style fault-list
 //    propagation, the independent cross-check.
@@ -52,6 +53,7 @@
 #include "sim/comb_sim.h"
 #include "sim/eval_backend.h"
 #include "sim/event_sim.h"
+#include "sim/parallel_sim.h"
 #include "sim/thread_pool.h"
 
 namespace dft {
@@ -68,10 +70,11 @@ SourceVector random_source_vector(const Netlist& nl, std::mt19937_64& rng);
 void random_fill(SourceVector& v, std::mt19937_64& rng);
 
 // Throws std::invalid_argument when any pattern's width differs from
-// source_count(nl) or (with require_binary) any entry is X/Z. Engines call
-// this before touching any simulator state, so a malformed pattern in the
-// middle of a block can never leave an engine half-mutated.
-void validate_patterns(const Netlist& nl,
+// `sources` (source_count(nl), or CompiledNetlist::source_count()) or (with
+// require_binary) any entry is X/Z. Engines call this before touching any
+// simulator state, so a malformed pattern in the middle of a block can
+// never leave an engine half-mutated.
+void validate_patterns(std::size_t sources,
                        const std::vector<SourceVector>& patterns,
                        bool require_binary);
 
@@ -216,12 +219,13 @@ class BasicParallelFaultSimulator : public FaultSimEngine {
   using Word = typename EB::Word;
   using Traits = WordTraits<Word>;
 
-  // `threads` workers (0 = one per hardware thread). The netlist is
-  // compiled once; every worker's machine reads that one immutable snapshot
-  // and the one observation-point set. Worker 0 is the calling thread, so
-  // the pool holds threads() - 1 OS threads and none at one thread.
+  // `threads` workers (0 = one per hardware thread). The good machine and
+  // every worker's machine read one immutable snapshot and the one
+  // observation-point set. Worker 0 is the calling thread, so the pool
+  // holds threads() - 1 OS threads and none at one thread.
   explicit BasicParallelFaultSimulator(const Netlist& nl, int threads = 1);
-  explicit BasicParallelFaultSimulator(Netlist&&, int = 1) = delete;  // dangle
+  explicit BasicParallelFaultSimulator(
+      std::shared_ptr<const CompiledNetlist> cn, int threads = 1);
 
   // Patterns must be binary (use random_fill for X entries). A fault whose
   // gate or pin is not in the netlist throws std::out_of_range before any
@@ -321,11 +325,10 @@ class BasicParallelFaultSimulator : public FaultSimEngine {
   void record_run_obs(const FaultSimResult& res, bool drop_detected,
                       std::uint64_t blocks, int workers);
 
-  const Netlist* nl_;
   std::shared_ptr<const CompiledNetlist> cn_;
   std::vector<char> observed_;
   Regions regions_;
-  BasicGoodMachine<EB> good_;
+  BasicParallelSim<EB> good_;  // sim.parallel.* flushed per run
   std::vector<Machine> machines_;
   // Workers a run may start: threads(), capped at the host's hardware
   // threads -- a pool wider than the hardware only adds time-slicing and

@@ -21,12 +21,16 @@ namespace dft {
 template <typename EB>
 BasicParallelFaultSimulator<EB>::BasicParallelFaultSimulator(const Netlist& nl,
                                                              int threads)
-    : nl_(&nl),
-      // One compiled snapshot serves the good machine and every worker
-      // machine: it is immutable after construction, so concurrent reads
-      // need no synchronization.
-      cn_(std::make_shared<const CompiledNetlist>(nl)),
-      good_(cn_) {
+    : BasicParallelFaultSimulator(std::make_shared<const CompiledNetlist>(nl),
+                                  threads) {}
+
+template <typename EB>
+BasicParallelFaultSimulator<EB>::BasicParallelFaultSimulator(
+    std::shared_ptr<const CompiledNetlist> cn, int threads)
+    // One compiled snapshot serves the good machine and every worker
+    // machine: it is immutable after construction, so concurrent reads need
+    // no synchronization.
+    : cn_(std::move(cn)), good_(cn_) {
   const int n = resolve_thread_count(threads);
   max_workers_ = std::min(n, resolve_thread_count(0));
   machines_.reserve(static_cast<std::size_t>(n));
@@ -54,9 +58,9 @@ void BasicParallelFaultSimulator<EB>::set_observation_points(
 
 template <typename EB>
 void BasicParallelFaultSimulator<EB>::reset_observation_points() {
-  std::vector<GateId> full(nl_->outputs());
-  for (GateId ff : nl_->storage()) {
-    full.push_back(nl_->fanin(ff)[kStoragePinD]);
+  std::vector<GateId> full(cn_->outputs().begin(), cn_->outputs().end());
+  for (GateId ff : cn_->storage()) {
+    full.push_back(cn_->fanin(ff)[kStoragePinD]);
   }
   set_observation_points(full);
 }
@@ -140,9 +144,8 @@ BasicParallelFaultSimulator<EB>::sensitization(Machine& m, GateId g) const {
     Word w = Traits::zeros();
     if (Traits::any(above)) {
       ++m.tallies.trace_evals;
-      w = above & (m.ev.eval_with_forced_pin(s, r.pin_of[y],
-                                             ~m.ev.good_word(y)) ^
-                   m.ev.good_word(s));
+      w = above & (good_.eval_with_forced_pin(s, r.pin_of[y], ~good_.word(y)) ^
+                   good_.word(s));
     }
     m.sens[r.local_of[y]] = w;
     m.sens_stamp[r.local_of[y]] = m.epoch;
@@ -158,9 +161,9 @@ BasicParallelFaultSimulator<EB>::reach(Machine& m, const Fault& f,
   Word site = forced;
   if (f.pin >= 0) {
     ++m.tallies.trace_evals;
-    site = m.ev.eval_with_forced_pin(f.gate, f.pin, forced);
+    site = good_.eval_with_forced_pin(f.gate, f.pin, forced);
   }
-  const Word activation = (site ^ m.ev.good_word(f.gate)) & valid;
+  const Word activation = (site ^ good_.word(f.gate)) & valid;
   if (!Traits::any(activation)) return activation;
   return activation & sensitization(m, f.gate);
 }
@@ -199,7 +202,7 @@ std::size_t BasicParallelFaultSimulator<EB>::simulate_region(
       const GateId din = cn_->fanin(f.gate)[kStoragePinD];
       if (observed_[din]) {
         const Word forced = f.sa1 ? Traits::ones() : Traits::zeros();
-        record(fi, (m.ev.good_word(din) ^ forced) & valid);
+        record(fi, (good_.word(din) ^ forced) & valid);
       }
       continue;
     }
@@ -219,7 +222,7 @@ std::size_t BasicParallelFaultSimulator<EB>::simulate_region(
   // nothing else outside the region.
   const GateId stem = regions_.stem[region];
   const typename BasicEventSim<EB>::Propagation p =
-      m.ev.propagate(stem, m.ev.good_word(stem) ^ flip, observed_);
+      m.ev.propagate(stem, good_.word(stem) ^ flip, observed_);
   ++m.tallies.stems_propagated;
   m.tallies.gates_evaluated += p.gates_evaluated;
   ++m.tallies.death_depth[static_cast<std::size_t>(
@@ -238,15 +241,15 @@ template <typename EB>
 void BasicParallelFaultSimulator<EB>::load_block(
     const std::vector<SourceVector>& patterns, std::size_t base,
     std::size_t count) {
-  const auto& pis = nl_->inputs();
-  const auto& ffs = nl_->storage();
-  const std::size_t ns = pis.size() + ffs.size();
+  const auto pis = cn_->inputs();
+  const auto ffs = cn_->storage();
+  const std::size_t ns = cn_->source_count();
   for (std::size_t s = 0; s < ns; ++s) {
     Word w = Traits::zeros();
     for (std::size_t b = 0; b < count; ++b) {
       if (patterns[base + b][s] == Logic::One) Traits::set_bit(w, b);
     }
-    good_.set_source_word(s < pis.size() ? pis[s] : ffs[s - pis.size()], w);
+    good_.set_word(s < pis.size() ? pis[s] : ffs[s - pis.size()], w);
   }
   good_.evaluate();
 }
@@ -273,7 +276,7 @@ FaultSimResult BasicParallelFaultSimulator<EB>::run(
   constexpr std::size_t kBits = static_cast<std::size_t>(Traits::kBits);
   // Validate before any machine is touched: a malformed pattern in the
   // middle of a block must not leave the engine half-mutated.
-  validate_patterns(*nl_, patterns, /*require_binary=*/true);
+  validate_patterns(cn_->source_count(), patterns, /*require_binary=*/true);
 
   // The faults grouped by region: order[fault_begin[r], fault_begin[r+1]),
   // ascending within a region. Workers steal the regions that hold any.
@@ -403,6 +406,7 @@ FaultSimResult BasicParallelFaultSimulator<EB>::run(
     }
   }
   if (observed) record_run_obs(res, drop_detected, blocks, workers);
+  good_.flush_tally();
   return res;
 }
 

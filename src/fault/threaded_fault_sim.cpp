@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/deductive.h"
@@ -14,13 +15,18 @@ namespace {
 
 // The DFT_SIMD=auto engine (the header says why): a 64-bit head engine for
 // a dropping run's first kHead patterns, and a wide-lane tail engine, built
-// on first use, for the faults the head leaves.
+// on first use, for the faults the head leaves. Both read one compiled
+// snapshot.
 class AutoLaneFaultSimulator final : public FaultSimEngine {
  public:
   static constexpr std::size_t kHead = 64;
 
-  AutoLaneFaultSimulator(const Netlist& nl, int threads, simd::Lane wide)
-      : nl_(&nl), threads_(threads), wide_lane_(wide), head_(nl, threads) {}
+  AutoLaneFaultSimulator(std::shared_ptr<const CompiledNetlist> cn,
+                         int threads, simd::Lane wide)
+      : cn_(std::move(cn)),
+        threads_(threads),
+        wide_lane_(wide),
+        head_(cn_, threads) {}
 
   FaultSimResult run(const std::vector<SourceVector>& patterns,
                      const std::vector<Fault>& faults, bool drop_detected,
@@ -34,7 +40,7 @@ class AutoLaneFaultSimulator final : public FaultSimEngine {
     }
     // The head checks the faults; the tail's patterns are checked here,
     // before the head touches a machine.
-    validate_patterns(*nl_, patterns, /*require_binary=*/true);
+    validate_patterns(cn_->source_count(), patterns, /*require_binary=*/true);
     head_.set_progress_phase("");  // this engine reports the head itself
     const auto split = patterns.begin() + static_cast<std::ptrdiff_t>(kHead);
     FaultSimResult res = head_.run({patterns.begin(), split}, faults, true,
@@ -89,15 +95,14 @@ class AutoLaneFaultSimulator final : public FaultSimEngine {
   // phase and the given prefix.
   FaultSimEngine& wide(ProgressPrefix prefix) {
     if (!wide_) {
-      wide_ = make_fault_sim_engine(*nl_, threads_, FaultSimKernel::Event,
-                                    wide_lane_);
+      wide_ = make_fault_sim_engine(cn_, threads_, wide_lane_);
     }
     wide_->set_progress_phase(progress_phase());
     wide_->set_progress_prefix(prefix);
     return *wide_;
   }
 
-  const Netlist* nl_;
+  std::shared_ptr<const CompiledNetlist> cn_;
   int threads_;
   simd::Lane wide_lane_;
   ParallelFaultSimulator head_;
@@ -112,7 +117,8 @@ std::unique_ptr<FaultSimEngine> make_fault_sim_engine(const Netlist& nl,
   if (threads < 1 || !simd::resolves_auto()) {
     return make_fault_sim_engine(nl, threads, FaultSimKernel::Event, lane);
   }
-  return std::make_unique<AutoLaneFaultSimulator>(nl, threads, lane);
+  return std::make_unique<AutoLaneFaultSimulator>(
+      std::make_shared<const CompiledNetlist>(nl), threads, lane);
 }
 
 std::unique_ptr<FaultSimEngine> make_fault_sim_engine(const Netlist& nl,

@@ -24,7 +24,8 @@
 // per-fault tracing over the wider word. So a dropping run grades its
 // first 64 patterns on the 64-bit engine and hands only the faults still
 // undetected, with the remaining patterns, to the resolved (widest) lane,
-// whose engine is built on first use; the tail's pattern indices are
+// whose engine is built on first use from the head's CompiledNetlist (the
+// netlist may be gone by then); the tail's pattern indices are
 // shifted back by 64 on merge. Runs of at most 64 patterns never leave
 // the 64-bit engine, and longer runs without dropping keep the widest
 // lane. The result is the one-lane result; a budget partial is a pattern
@@ -40,6 +41,7 @@
 #include <string_view>
 
 #include "fault/fault_sim.h"
+#include "netlist/compiled.h"
 #include "netlist/netlist.h"
 #include "sim/simd.h"
 
@@ -69,6 +71,10 @@ std::unique_ptr<FaultSimEngine> make_fault_sim_engine(const Netlist& nl,
 std::unique_ptr<FaultSimEngine> make_fault_sim_engine(Netlist&&, int,
                                                       FaultSimKernel,
                                                       simd::Lane) = delete;
+// The same engine on a snapshot the caller may share (the auto engine's two
+// lanes share one).
+std::unique_ptr<FaultSimEngine> make_fault_sim_engine(
+    std::shared_ptr<const CompiledNetlist> cn, int threads, simd::Lane lane);
 
 // Name-based factory behind dft_tool's --engine flag and the options
 // structs: "event" (the default; also ""), "serial", "deductive". "event"

@@ -4,7 +4,8 @@
 
 namespace dft {
 
-CompiledNetlist::CompiledNetlist(const Netlist& nl) {
+CompiledNetlist::CompiledNetlist(const Netlist& nl)
+    : inputs_(nl.inputs()), outputs_(nl.outputs()), storage_(nl.storage()) {
   const std::size_t n = nl.size();
   nl.topo_order();  // builds (or validates) fanouts + levels; throws on cycles
 

@@ -11,7 +11,10 @@
 //   * gate types and logic levels as plain arrays,
 //   * the combinational evaluation order sorted by (level, id), so gates of
 //     one level occupy one contiguous bucket -- the event wheel of the
-//     event-driven fault kernel indexes levels directly into it.
+//     event-driven fault kernel indexes levels directly into it,
+//   * the primary inputs, primary outputs and storage elements in netlist
+//     order, so a test pattern's sources (inputs first, then storage
+//     outputs) and the full-scan observation points come from the snapshot.
 //
 // The snapshot shares nothing with the source netlist and never mutates, so
 // any number of worker threads can read one instance concurrently (the
@@ -37,6 +40,12 @@ class CompiledNetlist {
   explicit CompiledNetlist(const Netlist& nl);
 
   std::size_t size() const { return types_.size(); }
+
+  std::span<const GateId> inputs() const { return inputs_; }
+  std::span<const GateId> outputs() const { return outputs_; }
+  std::span<const GateId> storage() const { return storage_; }
+  // Entries of one test pattern: inputs() then storage().
+  std::size_t source_count() const { return inputs_.size() + storage_.size(); }
 
   GateType type(GateId g) const {
     assert(g < types_.size());
@@ -76,6 +85,9 @@ class CompiledNetlist {
 
  private:
   std::vector<GateType> types_;
+  std::vector<GateId> inputs_;
+  std::vector<GateId> outputs_;
+  std::vector<GateId> storage_;
   std::vector<std::int32_t> levels_;
   std::vector<std::uint32_t> fanin_offset_;
   std::vector<GateId> fanin_;

@@ -106,13 +106,15 @@ void ScopedTimer::stop() {
   h_ = nullptr;
 }
 
-PassTally::~PassTally() {
+void PassTally::flush() {
   if (enabled() && passes_ != 0) {
     Registry& reg = Registry::global();
     const std::string prefix(prefix_);
     reg.counter(prefix + ".passes").add(passes_);
     reg.counter(prefix + ".gate_evals").add(gate_evals_);
   }
+  passes_ = 0;
+  gate_evals_ = 0;
 }
 
 Registry& Registry::global() {

@@ -177,21 +177,23 @@ class ScopedTimer {
 
 // Full-pass tally of one simulator object: passes and gate evaluations
 // accumulate in plain members (the bulk-flush rule above) and are added to
-// "<prefix>.passes" and "<prefix>.gate_evals" once, on destruction. A copy
-// starts at zero and assignment keeps the target's own tally, so copying a
-// simulator never flushes the same pass twice.
+// "<prefix>.passes" and "<prefix>.gate_evals" by flush(), at the latest on
+// destruction. A copy starts at zero and assignment keeps the target's own
+// tally, so copying a simulator never flushes the same pass twice.
 class PassTally {
  public:
   // `prefix` must outlive the tally (pass a string literal).
   explicit PassTally(const char* prefix) : prefix_(prefix) {}
   PassTally(const PassTally& other) : prefix_(other.prefix_) {}
   PassTally& operator=(const PassTally&) { return *this; }
-  ~PassTally();
+  ~PassTally() { flush(); }
 
   void add_pass(std::uint64_t gate_evals) {
     ++passes_;
     gate_evals_ += gate_evals;
   }
+  // Adds the counts so far (when obs is enabled) and restarts from zero.
+  void flush();
 
  private:
   const char* prefix_;

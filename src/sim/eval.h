@@ -22,11 +22,11 @@ namespace detail {
 // Two-valued bit-parallel evaluation over an arbitrary pin accessor
 // (at(i) = word of fanin pin i). The word type is whatever the accessor
 // yields: the classic std::uint64_t (64 patterns) or a multi-limb
-// PatternWord (256/512 patterns; see sim/pattern_word.h). Every public
-// spelling -- and the runtime-dispatched AVX backends, which mirror this
-// switch with intrinsics -- instantiates this one function, so the scalar
-// paths can never drift apart and the differential fuzzers pin the
-// intrinsic ones to it. Tri-state drivers contribute (data AND enable) and
+// PatternWord (256/512 patterns; see sim/pattern_word.h). Both scalar
+// spellings (eval_gate_word_ids_w and ScalarEval::eval_forced) instantiate
+// this one function, so they can never drift apart; the runtime-dispatched
+// AVX backends mirror this switch with intrinsics, and the differential
+// fuzzers pin them to it. Tri-state drivers contribute (data AND enable) and
 // buses OR their drivers (a pull-down bus model), which keeps bus logic
 // meaningful without a third value.
 template <typename At,
@@ -75,20 +75,12 @@ Word eval_word_impl(GateType t, std::size_t n, const At& at) {
     case GateType::Srl:
     case GateType::AddressableLatch:
       throw std::logic_error(
-          "eval_gate_word called on a non-combinational gate");
+          "eval_word_impl called on a non-combinational gate");
   }
   return T::zeros();
 }
 
 }  // namespace detail
-
-// Two-valued, 64-pattern bit-parallel evaluation with the fanin words
-// gathered into a contiguous buffer.
-inline std::uint64_t eval_gate_word(GateType t,
-                                    std::span<const std::uint64_t> in) {
-  return detail::eval_word_impl(t, in.size(),
-                                [&](std::size_t i) { return in[i]; });
-}
 
 // Evaluation reading fanin words through a flat id array (a CSR fanin span)
 // straight out of the value table -- no gather copy. This is the
@@ -100,11 +92,10 @@ inline Word eval_gate_word_ids_w(GateType t, const GateId* fanin,
       t, n, [&](std::size_t i) { return words[fanin[i]]; });
 }
 
-// The classic 64-pattern spelling, kept for the direct callers.
-inline std::uint64_t eval_gate_word_ids(GateType t, const GateId* fanin,
-                                        std::size_t n,
-                                        const std::uint64_t* words) {
-  return eval_gate_word_ids_w(t, fanin, n, words);
+// Xor/Xnor: the output word is the good word XOR the XOR of the fanins'
+// difference words, so one changed fanin costs O(1) however wide the gate.
+constexpr bool is_parity(GateType t) {
+  return t == GateType::Xor || t == GateType::Xnor;
 }
 
 // Controlling input value for simple gates (AND/NAND/tri-state: 0;

@@ -2,9 +2,8 @@
 
 namespace dft {
 
-// The classic 64-pattern machines, compiled once here so the header's
-// extern templates keep every consumer TU from re-instantiating them.
-template class BasicGoodMachine<ScalarEval<std::uint64_t>>;
+// The classic 64-pattern machine, compiled once here so the header's
+// extern template keeps every consumer TU from re-instantiating it.
 template class BasicEventSim<ScalarEval<std::uint64_t>>;
 
 }  // namespace dft

@@ -16,10 +16,12 @@
 // the backend carries (sim/eval_backend.h): 64 patterns classic, 256/512
 // widened.
 //
-// The good machine is shared work: one BasicGoodMachine per block is
-// evaluated once and read by every BasicEventSim of the block (the PPSFP
-// fault simulator runs one per worker). A BasicEventSim keeps only its
-// faulty machine, which equals the good machine between propagations. The
+// The good machine is shared work: one BasicParallelSim (sim/parallel_sim.h)
+// per block is evaluated once and read by every BasicEventSim of the block
+// (the PPSFP fault simulator runs one per worker). A BasicEventSim keeps
+// only its faulty machine, which equals the good machine between
+// propagations; forced-pin evaluations (fault activation, sensitization
+// traces) read the good machine itself (eval_with_forced_pin). The
 // CompiledNetlist behind both is immutable and shared across machines.
 #pragma once
 
@@ -32,54 +34,10 @@
 
 #include "netlist/compiled.h"
 #include "sim/eval_backend.h"
+#include "sim/parallel_sim.h"
 #include "sim/pattern_word.h"
 
 namespace dft {
-
-// Xor/Xnor: the output word is the good word XOR the XOR of the fanins'
-// difference words, so one changed fanin costs O(1) however wide the gate.
-constexpr bool is_parity(GateType t) {
-  return t == GateType::Xor || t == GateType::Xnor;
-}
-
-// The good machine of one pattern block: source words in, one full pass in
-// compiled (level, id) order, then read-only for every machine of the
-// block.
-template <typename EB>
-class BasicGoodMachine {
- public:
-  using Word = typename EB::Word;
-  using Traits = WordTraits<Word>;
-
-  explicit BasicGoodMachine(std::shared_ptr<const CompiledNetlist> cn)
-      : cn_(std::move(cn)), words_(cn_->size(), Traits::zeros()) {
-    for (GateId g = 0; g < cn_->size(); ++g) {
-      if (cn_->type(g) == GateType::Const1) words_[g] = Traits::ones();
-    }
-  }
-
-  // Sets one word of pattern bits on a primary input or storage output.
-  void set_source_word(GateId source, const Word& w) {
-    assert(source < words_.size());
-    assert(cn_->type(source) == GateType::Input ||
-           is_storage(cn_->type(source)));
-    words_[source] = w;
-  }
-
-  void evaluate() {
-    const Word* w = words_.data();
-    for (GateId g : cn_->topo()) {
-      const auto fin = cn_->fanin(g);
-      words_[g] = EB::eval_ids(cn_->type(g), fin.data(), fin.size(), w);
-    }
-  }
-
-  const std::vector<Word>& words() const { return words_; }
-
- private:
-  std::shared_ptr<const CompiledNetlist> cn_;
-  std::vector<Word> words_;
-};
 
 template <typename EB>
 class BasicEventSim {
@@ -89,27 +47,15 @@ class BasicEventSim {
 
   explicit BasicEventSim(std::shared_ptr<const CompiledNetlist> cn);
 
-  const CompiledNetlist& compiled() const { return *cn_; }
-
   // Binds `good` as the machine every propagation compares against and
   // restores to, and resets the faulty machine to it (a copy into storage
   // sized at construction). `good` must outlive the binding and stay
   // unchanged while bound.
-  void load_good(const BasicGoodMachine<EB>& good) {
+  void load_good(const BasicParallelSim<EB>& good) {
     assert(good.words().size() == words_.size());
     good_ = good.words().data();
     std::copy(good.words().begin(), good.words().end(), words_.begin());
   }
-
-  const Word& good_word(GateId g) const {
-    assert(good_ != nullptr && g < words_.size());
-    return good_[g];
-  }
-
-  // Evaluates gate g of the good machine with input pin `pin` forced to
-  // `forced` (the faulty site of an input-pin stuck fault, or one step of a
-  // sensitization trace) without storing the result. O(1) on parity gates.
-  Word eval_with_forced_pin(GateId g, int pin, const Word& forced) const;
 
   struct Propagation {
     Word detect =
@@ -149,17 +95,6 @@ BasicEventSim<EB>::BasicEventSim(std::shared_ptr<const CompiledNetlist> cn)
       words_(cn_->size(), Traits::zeros()),
       wheel_(static_cast<std::size_t>(cn_->depth()) + 1),
       stamp_(cn_->size(), 0) {}
-
-template <typename EB>
-typename BasicEventSim<EB>::Word BasicEventSim<EB>::eval_with_forced_pin(
-    GateId g, int pin, const Word& forced) const {
-  const GateType t = cn_->type(g);
-  const auto fin = cn_->fanin(g);
-  if (is_parity(t)) {
-    return good_[g] ^ forced ^ good_[fin[static_cast<std::size_t>(pin)]];
-  }
-  return EB::eval_forced(t, fin.data(), fin.size(), good_, pin, forced);
-}
 
 template <typename EB>
 typename BasicEventSim<EB>::Propagation BasicEventSim<EB>::propagate(
@@ -234,7 +169,6 @@ typename BasicEventSim<EB>::Propagation BasicEventSim<EB>::propagate(
 
 // The 64-bit instantiations live in event_sim.cpp; wide lanes are
 // instantiated where they are used (fault/simd_lanes.cpp, tests).
-extern template class BasicGoodMachine<ScalarEval<std::uint64_t>>;
 extern template class BasicEventSim<ScalarEval<std::uint64_t>>;
 
 }  // namespace dft

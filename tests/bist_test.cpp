@@ -230,6 +230,22 @@ y = XOR(a, b)
   EXPECT_TRUE(held.testable);
 }
 
+// A constant site is not re-evaluated by the next block's good pass, so
+// the grader must restore it after forcing it: here the fault shows only in
+// the last 64-pattern block (x6 = x7 = 1), after three blocks that forced
+// the constant.
+TEST(Syndrome, HeldInputSeesAConstantSiteFaultPastTheFirstBlock) {
+  Netlist nl("late_const");
+  std::vector<GateId> x;
+  for (int i = 0; i < 8; ++i) x.push_back(nl.add_input());
+  const GateId c0 = nl.add_gate(GateType::Const0, {});
+  nl.add_output(nl.add_gate(GateType::And, {x[6], x[7], c0}));
+  const auto held = syndrome_test_with_held_input(nl, {c0, -1, true});
+  EXPECT_TRUE(held.testable);
+  EXPECT_EQ(held.held_input, x[0]);
+  EXPECT_FALSE(held.held_value);
+}
+
 TEST(Syndrome, On74181MatchesPaperShape) {
   // "in a number of real networks (i.e., SN74181...) the numbers of extra
   // primary inputs needed was at most one": the vast majority of its faults

@@ -131,9 +131,11 @@ TEST(CompiledNetlist, IdIndirectEvalMatchesSpanEval) {
       const auto fin = cn.fanin(g);
       gathered.clear();
       for (GateId f : fin) gathered.push_back(words[f]);
-      const std::uint64_t via_span = eval_gate_word(cn.type(g), gathered);
-      const std::uint64_t via_ids =
-          eval_gate_word_ids(cn.type(g), fin.data(), fin.size(), words.data());
+      const std::uint64_t via_span = detail::eval_word_impl(
+          cn.type(g), gathered.size(),
+          [&](std::size_t i) { return gathered[i]; });
+      const std::uint64_t via_ids = eval_gate_word_ids_w(
+          cn.type(g), fin.data(), fin.size(), words.data());
       EXPECT_EQ(via_span, via_ids) << nl.name() << " gate " << g;
     }
   }

@@ -5,14 +5,20 @@
 #include <iterator>
 #include <optional>
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "circuits/basic.h"
+#include "fault/fault.h"
+#include "netlist/compiled.h"
 #include "netlist/bench_io.h"
 #include "obs/obs.h"
 #include "sim/comb_sim.h"
 #include "sim/eval.h"
 #include "sim/parallel_sim.h"
 #include "sim/seq_sim.h"
+#include "sim/simd.h"
 
 namespace dft {
 namespace {
@@ -408,6 +414,215 @@ TEST(ParallelSim, ForcedPinEvaluation) {
   EXPECT_EQ(par.word(c), 0x0ull);
   // Force pin A (pin 0) to all-ones: the AND now follows B.
   EXPECT_EQ(par.eval_with_forced_pin(c, 0, ~0ull), ~0ull);
+}
+
+// A random DAG over every two-valued gate kind, with storage outputs as free
+// sources and tri-state buses whose drivers never conflict: with selects
+// s0..s(k-2), driver d is enabled by ~s0 & ... & ~s(d-1) & sd and the last
+// by all selects low, so every pattern enables exactly one driver and no
+// bus floats or fights -- where the four-valued and the pull-down word bus
+// models agree.
+Netlist make_one_hot_bus_dag(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  Netlist nl("one_hot_bus_dag");
+  std::vector<GateId> nets;
+  for (std::size_t i = 0, n = 6 + pick(6); i < n; ++i) {
+    nets.push_back(nl.add_input());
+  }
+  nets.push_back(nl.add_gate(G::Const0, {}));
+  nets.push_back(nl.add_gate(G::Const1, {}));
+  std::vector<GateId> ffs;
+  for (std::size_t i = 0, n = 1 + pick(3); i < n; ++i) {
+    ffs.push_back(nl.add_gate(G::Dff, {nets[0]}));
+    nets.push_back(ffs.back());
+  }
+  const auto any = [&] { return nets[pick(nets.size())]; };
+  const G kTypes[] = {G::Buf, G::Not, G::And, G::Nand, G::Or,
+                      G::Nor, G::Xor, G::Xnor, G::Mux};
+  for (std::size_t i = 0, gates = 80 + pick(60); i < gates; ++i) {
+    if (pick(6) == 0) {
+      std::vector<GateId> drivers;
+      GateId none_yet = kNoGate;  // every earlier select low
+      for (std::size_t d = 0, k = 2 + pick(2); d < k; ++d) {
+        GateId en = none_yet;
+        if (d + 1 < k) {
+          const GateId sel = any();
+          const GateId low = nl.add_gate(G::Not, {sel});
+          en = d == 0 ? sel : nl.add_gate(G::And, {none_yet, sel});
+          none_yet = d == 0 ? low : nl.add_gate(G::And, {none_yet, low});
+        }
+        drivers.push_back(nl.add_gate(G::Tristate, {any(), en}));
+      }
+      nets.push_back(nl.add_gate(G::Bus, drivers));
+      continue;
+    }
+    const G t = kTypes[pick(std::size(kTypes))];
+    const FaninArity arity = fanin_arity(t);
+    std::size_t n = static_cast<std::size_t>(arity.max);
+    if (arity.max < 0) {
+      const bool wide = (t == G::Xor || t == G::Xnor) && pick(4) == 0;
+      n = wide ? 6 + pick(10) : 1 + pick(4);
+    }
+    std::vector<GateId> fin;
+    for (std::size_t k = 0; k < n; ++k) fin.push_back(any());
+    if (n >= 2 && pick(5) == 0) fin[1] = fin[0];  // one net, two pins
+    nets.push_back(nl.add_gate(t, fin));
+  }
+  for (GateId ff : ffs) {
+    nl.set_fanin(ff, kStoragePinD, nets[nets.size() - 1 - pick(20)]);
+  }
+  for (std::size_t i = 0, n = 3 + pick(5); i < n; ++i) {
+    nl.add_output(nets[nets.size() - 1 - pick(30)]);
+  }
+  return nl;
+}
+
+// Every bit of every gate's word equals the four-valued CombSim on that
+// bit's pattern; a disabled tri-state driver, Z there and 0 here, is read
+// only through its bus.
+template <typename EB>
+void expect_lane_matches_comb_sim(const Netlist& nl, std::uint64_t seed) {
+  using Word = typename EB::Word;
+  using T = WordTraits<Word>;
+  std::vector<GateId> sources(nl.inputs());
+  sources.insert(sources.end(), nl.storage().begin(), nl.storage().end());
+  std::mt19937_64 rng(seed);
+  std::vector<Word> words(sources.size(), T::zeros());
+  BasicParallelSim<EB> par(nl);
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    for (int b = 0; b < T::kBits; ++b) {
+      if ((rng() & 1) != 0) T::set_bit(words[s], static_cast<std::size_t>(b));
+    }
+    par.set_word(sources[s], words[s]);
+  }
+  par.evaluate();
+  CombSim ref(nl);
+  for (int b = 0; b < T::kBits; ++b) {
+    const auto bit = static_cast<std::size_t>(b);
+    for (std::size_t s = 0; s < sources.size(); ++s) {
+      ref.set_value(sources[s], to_logic(T::test_bit(words[s], bit)));
+    }
+    ref.evaluate();
+    for (GateId g : nl.topo_order()) {
+      if (nl.type(g) == G::Tristate) continue;
+      ASSERT_EQ(to_logic(T::test_bit(par.word(g), bit)), ref.value(g))
+          << nl.label(g) << " (" << gate_type_name(nl.type(g)) << ") bit "
+          << b;
+    }
+  }
+}
+
+TEST(ParallelSim, MatchesCombSimOnEveryLaneWithOneHotBuses) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    const Netlist nl = make_one_hot_bus_dag(seed);
+    ASSERT_TRUE(std::any_of(nl.topo_order().begin(), nl.topo_order().end(),
+                            [&](GateId g) { return nl.type(g) == G::Bus; }));
+    for (const simd::Lane lane : simd::available_lanes()) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " lane " +
+                   std::string(simd::lane_name(lane)));
+      switch (lane) {
+        case simd::Lane::Off:
+          expect_lane_matches_comb_sim<ScalarEval<std::uint64_t>>(nl, seed);
+          break;
+        case simd::Lane::Scalar4:
+          expect_lane_matches_comb_sim<ScalarEval<PatternWord<4>>>(nl, seed);
+          break;
+        case simd::Lane::Scalar8:
+          expect_lane_matches_comb_sim<ScalarEval<PatternWord<8>>>(nl, seed);
+          break;
+#if DFT_SIMD_X86
+        case simd::Lane::Avx2:
+          expect_lane_matches_comb_sim<Avx2Eval>(nl, seed);
+          break;
+        case simd::Lane::Avx512:
+          expect_lane_matches_comb_sim<Avx512Eval>(nl, seed);
+          break;
+#else
+        case simd::Lane::Avx2:
+        case simd::Lane::Avx512:
+          FAIL() << "available_lanes() reported an ISA lane this build lacks";
+#endif
+      }
+    }
+  }
+}
+
+// cone_of(site) is the site's fanout cone without the site and without
+// storage, in (level, id) order; forcing a fault's site word and
+// re-evaluating only that cone gives, on every gate, the words a full
+// evaluation with the fault injected gives -- output and input-pin faults,
+// parity gates (the O(1) forced-pin path) and buses included.
+TEST(ParallelSim, ConeResimulationEqualsFullFaultyEvaluation) {
+  for (std::uint64_t seed : {7u, 8u, 9u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Netlist nl = make_one_hot_bus_dag(seed);
+    const CompiledNetlist cn(nl);
+    std::vector<GateId> sources(nl.inputs());
+    sources.insert(sources.end(), nl.storage().begin(), nl.storage().end());
+    std::mt19937_64 rng(seed);
+    std::vector<std::uint64_t> source_words(sources.size());
+    for (auto& w : source_words) w = rng();
+    ParallelSim good(nl);
+    for (std::size_t s = 0; s < sources.size(); ++s) {
+      good.set_word(sources[s], source_words[s]);
+    }
+    good.evaluate();
+    std::vector<std::uint64_t> ref(nl.size());
+    std::vector<std::uint64_t> in;
+    int checked = 0;
+    for (const Fault& f : enumerate_faults(nl)) {
+      if (is_storage(nl.type(f.gate)) && f.pin == kStoragePinD) continue;
+      SCOPED_TRACE(nl.label(f.gate) + "." + std::to_string(f.pin) +
+                   (f.sa1 ? " sa1" : " sa0"));
+      ParallelSim sim(good);  // the good machine, forced below
+      const std::vector<GateId> cone = sim.cone_of(f.gate);
+      std::vector<GateId> want = nl.fanout_cone(f.gate);
+      std::erase_if(want, [&](GateId g) {
+        return g == f.gate || !is_combinational(nl.type(g));
+      });
+      std::sort(want.begin(), want.end(), [&](GateId a, GateId b) {
+        return std::pair(cn.level(a), a) < std::pair(cn.level(b), b);
+      });
+      ASSERT_EQ(cone, want);
+
+      const std::uint64_t forced = f.sa1 ? ~0ull : 0ull;
+      sim.force_word(f.gate, f.pin < 0 ? forced
+                                       : sim.eval_with_forced_pin(
+                                             f.gate, f.pin, forced));
+      sim.evaluate_gates(cone);
+
+      // Full faulty evaluation: every gate, gathered fanin words, the fault
+      // injected at its site.
+      std::fill(ref.begin(), ref.end(), 0);
+      for (GateId g = 0; g < nl.size(); ++g) {
+        if (nl.type(g) == G::Const1) ref[g] = ~0ull;
+      }
+      for (std::size_t s = 0; s < sources.size(); ++s) {
+        ref[sources[s]] = source_words[s];
+      }
+      if (f.pin < 0) ref[f.gate] = forced;
+      for (GateId g : nl.topo_order()) {
+        const auto& fin = nl.fanin(g);
+        in.clear();
+        for (std::size_t p = 0; p < fin.size(); ++p) {
+          const bool site = g == f.gate && f.pin == static_cast<int>(p);
+          in.push_back(site ? forced : ref[fin[p]]);
+        }
+        ref[g] = detail::eval_word_impl(nl.type(g), in.size(),
+                                        [&](std::size_t i) { return in[i]; });
+        if (g == f.gate && f.pin < 0) ref[g] = forced;
+      }
+      for (GateId g = 0; g < nl.size(); ++g) {
+        ASSERT_EQ(sim.word(g), ref[g])
+            << nl.label(g) << " (" << gate_type_name(nl.type(g)) << ")";
+      }
+      ++checked;
+    }
+    EXPECT_GT(checked, 100);
+  }
 }
 
 }  // namespace

@@ -179,7 +179,7 @@ void check_backend_parity(const char* tag) {
           slice[i] = limb_of(words[i], l);
         }
         EXPECT_EQ(limb_of(got, l),
-                  eval_gate_word_ids(gc.t, fanin.data(), gc.n, slice.data()))
+                  eval_gate_word_ids_w(gc.t, fanin.data(), gc.n, slice.data()))
             << "limb " << l;
       }
 

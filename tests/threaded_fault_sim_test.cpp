@@ -19,6 +19,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "atpg/random_tpg.h"
 #include "circuits/basic.h"
@@ -29,6 +30,7 @@
 #include "fault/fault_sim.h"
 #include "fault/threaded_fault_sim.h"
 #include "guard/guard.h"
+#include "netlist/compiled.h"
 #include "obs/json.h"
 #include "obs/obs.h"
 #include "obs/progress.h"
@@ -400,9 +402,9 @@ std::vector<GateId> full_scan_view(const Netlist& nl) {
 
 // Two-valued single-fault reference for the PPSFP model: per fault and
 // 64-pattern block the whole netlist is re-evaluated in topological order
-// with the fault injected (eval_gate_word, the same pull-down bus model),
-// and a pattern detects the fault when an observed gate differs from the
-// good machine. A storage D-pin fault is detected where its D net is
+// with the fault injected (detail::eval_word_impl over gathered fanin
+// words, the same pull-down bus model), and a pattern detects the fault
+// when an observed gate differs from the good machine. A storage D-pin fault is detected where its D net is
 // observed and differs from the stuck value. No event wheel, no regions.
 std::vector<int> two_valued_first_detections(
     const Netlist& nl, const std::vector<SourceVector>& pats,
@@ -424,7 +426,8 @@ std::vector<int> two_valued_first_detections(
                           f->pin == static_cast<int>(p);
         in.push_back(site ? forced : w[fin[p]]);
       }
-      w[g] = eval_gate_word(nl.type(g), in);
+      w[g] = detail::eval_word_impl(nl.type(g), in.size(),
+                                    [&](std::size_t i) { return in[i]; });
       if (f != nullptr && f->gate == g && f->pin < 0) w[g] = forced;
     }
   };
@@ -757,6 +760,51 @@ TEST(ThreadedFaultSim, WorkCountsDoNotDependOnThreadCount) {
 #endif
 }
 
+// The good machine's full pass per block counts under sim.parallel.*: a
+// run of B blocks adds B passes of every combinational gate at every thread
+// count, flushed when the run returns (the engine is still alive). With
+// dropping the run may stop early; it still adds one pass per block it
+// counted.
+template <typename EB>
+void check_good_machine_passes_for_backend(const char* tag) {
+  SCOPED_TRACE(tag);
+  obs::set_enabled(true);
+  obs::Registry& reg = obs::Registry::global();
+  const ManyBlockInput in = many_block_input();
+  const std::uint64_t gates = CompiledNetlist(in.nl).topo().size();
+  constexpr std::size_t kBits = WordTraits<typename EB::Word>::kBits;
+  const std::uint64_t blocks = (in.pats.size() + kBits - 1) / kBits;
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    BasicParallelFaultSimulator<EB> eng(in.nl, threads);
+    for (bool drop : {false, true}) {
+      SCOPED_TRACE(drop ? "dropping" : "no dropping");
+      const std::uint64_t passes0 = reg.counter("sim.parallel.passes").value();
+      const std::uint64_t evals0 =
+          reg.counter("sim.parallel.gate_evals").value();
+      const std::uint64_t blocks0 =
+          reg.counter("fault_sim.ppsfp.pattern_blocks").value();
+      (void)eng.run(in.pats, in.faults, drop);
+      const std::uint64_t passes =
+          reg.counter("sim.parallel.passes").value() - passes0;
+      EXPECT_EQ(passes,
+                reg.counter("fault_sim.ppsfp.pattern_blocks").value() - blocks0);
+      if (!drop) {
+        EXPECT_EQ(passes, blocks);
+      }
+      EXPECT_EQ(reg.counter("sim.parallel.gate_evals").value() - evals0,
+                passes * gates);
+    }
+  }
+}
+
+TEST(ThreadedFaultSim, GoodMachinePassesCountOnePerBlock) {
+  check_good_machine_passes_for_backend<ScalarEval<std::uint64_t>>(
+      "scalar_x1");
+  check_good_machine_passes_for_backend<ScalarEval<PatternWord<8>>>(
+      "scalar_x8");
+}
+
 // --- Budget expiry yields a clean-prefix partial at every thread count ----
 
 TEST(ThreadedFaultSim, BudgetPartialIsACleanPrefixAtEveryThreadCount) {
@@ -1045,6 +1093,35 @@ TEST(AutoLane, BuildsTheWideEngineOnFirstUse) {
   EXPECT_EQ(task_count() - base, 2 * (kThreads - 1));
 }
 #endif
+
+// The PPSFP engines read only their compiled snapshot: engines built from a
+// netlist that is then destroyed still run -- the auto engine builds its
+// wide tail engine after the netlist is gone -- and answer as the 64-bit
+// engine over a live copy does.
+TEST(AutoLane, RunsAfterTheNetlistIsDestroyed) {
+  const Netlist live = make_sn74181();
+  const auto faults = collapse_faults(live).representatives;
+  const auto pats = patterns_for(live, 700, 9);
+  const FaultSimResult want = ParallelFaultSimulator(live).run(pats, faults);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    std::vector<std::unique_ptr<FaultSimEngine>> engines;
+    {
+      const auto doomed = std::make_unique<Netlist>(live);
+      engines.push_back(make_auto_engine(*doomed, threads));
+      engines.push_back(make_fault_sim_engine(*doomed, "event", threads));
+      engines.push_back(make_fault_sim_engine(
+          *doomed, threads, FaultSimKernel::Event, simd::Lane::Avx512));
+    }
+    for (const auto& eng : engines) {
+      for (bool drop : {true, false}) {
+        const FaultSimResult got = eng->run(pats, faults, drop);
+        EXPECT_EQ(got.first_detected_by, want.first_detected_by);
+        EXPECT_EQ(got.num_detected, want.num_detected);
+      }
+    }
+  }
+}
 
 // --- Regression: validation is hoisted before any state mutation ----------
 
