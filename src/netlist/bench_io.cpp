@@ -1,37 +1,63 @@
 #include "netlist/bench_io.h"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
+#include <charconv>
+#include <cstdint>
 #include <fstream>
-#include <map>
-#include <sstream>
+#include <istream>
+#include <ostream>
 #include <stdexcept>
 
 namespace dft {
 
 namespace {
 
-struct PendingGate {
-  GateType type;
-  std::vector<std::string> fanin_names;
-  int line = 0;
-};
+// The reader makes one pass over the text. Each line is cut into views; every
+// net name is interned once in a NameTable (a view into the text, never a
+// copy), and a definition keeps its operands as name ids in one flat array.
+// The build phase then creates the gates exactly as a name-keyed resolver
+// would: inputs, storage placeholders, combinational gates in DFS postorder,
+// storage rewiring, outputs.
 
-std::string trim(std::string_view s) {
+constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+
+[[noreturn]] void fail(int line, const std::string& what) {
+  throw std::runtime_error("bench line " + std::to_string(line) + ": " + what);
+}
+
+std::string_view trim(std::string_view s) {
   const auto b = s.find_first_not_of(" \t\r");
   if (b == std::string_view::npos) return {};
   const auto e = s.find_last_not_of(" \t\r");
-  return std::string(s.substr(b, e - b + 1));
+  return s.substr(b, e - b + 1);
 }
 
-std::string upper(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::toupper(c); });
-  return s;
+char ascii_upper(char c) {
+  return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
 }
 
-GateType parse_type(const std::string& t, int line) {
-  static const std::map<std::string, GateType> kTypes = {
+// True when `s` equals the upper-case keyword `kw` ignoring ASCII case.
+bool iequals(std::string_view s, std::string_view kw) {
+  if (s.size() != kw.size()) return false;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (ascii_upper(s[i]) != kw[i]) return false;
+  }
+  return true;
+}
+
+std::string upper(std::string_view s) {
+  std::string out(s);
+  for (char& c : out) c = ascii_upper(c);
+  return out;
+}
+
+GateType parse_type(std::string_view t, int line) {
+  struct Spelling {
+    std::string_view name;
+    GateType type;
+  };
+  static constexpr std::array<Spelling, 19> kTypes = {{
       {"BUF", GateType::Buf},         {"BUFF", GateType::Buf},
       {"NOT", GateType::Not},         {"INV", GateType::Not},
       {"AND", GateType::And},         {"NAND", GateType::Nand},
@@ -42,146 +68,223 @@ GateType parse_type(const std::string& t, int line) {
       {"SCANDFF", GateType::ScanDff}, {"SRL", GateType::Srl},
       {"ALATCH", GateType::AddressableLatch},
       {"CONST0", GateType::Const0},   {"CONST1", GateType::Const1},
-  };
-  auto it = kTypes.find(upper(t));
-  if (it == kTypes.end()) {
-    throw std::runtime_error("bench line " + std::to_string(line) +
-                             ": unknown gate type '" + t + "'");
+  }};
+  for (const Spelling& s : kTypes) {
+    if (iequals(t, s.name)) return s.type;
   }
-  return it->second;
+  fail(line, "unknown gate type '" + std::string(t) + "'");
 }
 
-std::vector<std::string> split_args(const std::string& args, int line) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : args) {
-    if (c == ',') {
-      out.push_back(trim(cur));
-      cur.clear();
-    } else {
-      cur += c;
-    }
+void check_arity(GateType type, std::size_t n, int line) {
+  const FaninArity a = fanin_arity(type);
+  if (n < static_cast<std::size_t>(a.min) ||
+      (a.max >= 0 && n > static_cast<std::size_t>(a.max))) {
+    fail(line, std::string(gate_type_name(type)) + " gate given " +
+                   std::to_string(n) + " fanins");
   }
-  if (!trim(cur).empty()) out.push_back(trim(cur));
-  for (const auto& a : out) {
-    if (a.empty()) {
-      throw std::runtime_error("bench line " + std::to_string(line) +
-                               ": empty operand");
-    }
-  }
-  return out;
 }
+
+// Open-addressing intern table: one entry per distinct net name.
+class NameTable {
+ public:
+  struct Entry {
+    std::string_view name;
+    std::uint32_t hash = 0;
+    int input_line = 0;        // line of its INPUT declaration, 0 if none
+    std::uint32_t def = kNone;  // index of its assignment, kNone if none
+    GateId id = kNoGate;       // the gate built for it
+  };
+
+  std::uint32_t intern(std::string_view name) {
+    if (2 * (entries_.size() + 1) > slots_.size()) {
+      rehash(slots_.empty() ? 64 : 2 * slots_.size());
+    }
+    const std::uint32_t h = hash(name);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+      const std::uint32_t slot = slots_[i];
+      if (slot == 0) {
+        entries_.push_back({name, h});
+        slots_[i] = static_cast<std::uint32_t>(entries_.size());
+        return slots_[i] - 1;
+      }
+      const Entry& e = entries_[slot - 1];
+      if (e.hash == h && e.name == name) return slot - 1;
+    }
+  }
+
+  // Makes room for `n` names without rehashing.
+  void reserve(std::size_t n) {
+    entries_.reserve(n);
+    std::size_t size = 64;
+    while (size < 2 * (n + 1)) size *= 2;
+    if (size > slots_.size()) rehash(size);
+  }
+
+  Entry& operator[](std::uint32_t i) { return entries_[i]; }
+
+ private:
+  static std::uint32_t hash(std::string_view s) {
+    std::uint32_t h = 2166136261u;  // FNV-1a
+    for (char c : s) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 16777619u;
+    }
+    return h;
+  }
+
+  void rehash(std::size_t size) {
+    std::vector<std::uint32_t> slots(size, 0);
+    const std::size_t mask = slots.size() - 1;
+    for (std::uint32_t k = 0; k < entries_.size(); ++k) {
+      std::size_t i = entries_[k].hash & mask;
+      while (slots[i] != 0) i = (i + 1) & mask;
+      slots[i] = k + 1;
+    }
+    slots_ = std::move(slots);
+  }
+
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> slots_;  // entry index + 1; 0 = empty
+};
+
+struct Def {
+  GateType type;
+  int line;
+  std::uint32_t name;
+  std::uint32_t first_operand;  // into the flat operand array
+  std::uint32_t operands;
+};
 
 }  // namespace
 
-Netlist read_bench(std::istream& in, std::string netlist_name) {
-  std::vector<std::string> input_names;
-  std::map<std::string, int> input_line;  // name -> declaring line
-  std::vector<std::pair<std::string, int>> output_names;
+Netlist read_bench_string(std::string_view text, std::string netlist_name) {
+  NameTable names;
+  std::vector<std::uint32_t> input_names;
+  std::vector<std::pair<std::uint32_t, int>> output_names;
   // Definition order is preserved so storage chains read back identically.
-  std::vector<std::pair<std::string, PendingGate>> defs;
-  std::map<std::string, std::size_t> def_index;
+  std::vector<Def> defs;
+  std::vector<std::uint32_t> operands;
+  // A well-formed file defines at most one net per line. The cap, one name
+  // per eight bytes of text, bounds what blank lines can make it reserve.
+  const std::size_t lines = std::min<std::size_t>(
+      std::count(text.begin(), text.end(), '\n') + 1, text.size() / 8);
+  names.reserve(lines);
+  defs.reserve(lines);
 
-  std::string raw;
   int line = 0;
-  while (std::getline(in, raw)) {
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t end = std::min(text.find('\n', pos), text.size());
+    const std::string_view raw = text.substr(pos, end - pos);
+    pos = end + 1;
     ++line;
-    std::string s = trim(raw.substr(0, raw.find('#')));
+    const std::string_view s = trim(raw.substr(0, raw.find('#')));
     if (s.empty()) continue;
 
     const auto open = s.find('(');
     const auto eq = s.find('=');
-    if (eq == std::string::npos) {
+    if (eq == std::string_view::npos) {
       // INPUT(x) / OUTPUT(y)
       const auto close = s.rfind(')');
-      if (open == std::string::npos || close == std::string::npos ||
-          close < open) {
-        throw std::runtime_error("bench line " + std::to_string(line) +
-                                 ": malformed declaration '" + s + "'");
+      if (open == std::string_view::npos ||
+          close == std::string_view::npos || close < open) {
+        fail(line, "malformed declaration '" + std::string(s) + "'");
       }
-      const std::string kw = upper(trim(s.substr(0, open)));
-      const std::string arg = trim(s.substr(open + 1, close - open - 1));
-      if (kw == "INPUT") {
-        if (arg.empty()) {
-          throw std::runtime_error("bench line " + std::to_string(line) +
-                                   ": empty INPUT name");
+      const std::string_view kw = trim(s.substr(0, open));
+      const std::string_view arg = trim(s.substr(open + 1, close - open - 1));
+      if (iequals(kw, "INPUT")) {
+        if (arg.empty()) fail(line, "empty INPUT name");
+        const std::uint32_t n = names.intern(arg);
+        NameTable::Entry& e = names[n];
+        if (e.input_line != 0) {
+          fail(line, "input '" + std::string(arg) +
+                         "' already declared at line " +
+                         std::to_string(e.input_line));
         }
-        const auto [it, fresh] = input_line.emplace(arg, line);
-        if (!fresh) {
-          throw std::runtime_error(
-              "bench line " + std::to_string(line) + ": input '" + arg +
-              "' already declared at line " + std::to_string(it->second));
+        if (e.def != kNone) {
+          fail(line, "net '" + std::string(arg) +
+                         "' declared INPUT but assigned at line " +
+                         std::to_string(defs[e.def].line));
         }
-        if (const auto di = def_index.find(arg); di != def_index.end()) {
-          throw std::runtime_error(
-              "bench line " + std::to_string(line) + ": net '" + arg +
-              "' declared INPUT but assigned at line " +
-              std::to_string(defs[di->second].second.line));
-        }
-        input_names.push_back(arg);
-      } else if (kw == "OUTPUT") {
-        output_names.emplace_back(arg, line);
+        e.input_line = line;
+        input_names.push_back(n);
+      } else if (iequals(kw, "OUTPUT")) {
+        output_names.emplace_back(names.intern(arg), line);
       } else {
-        throw std::runtime_error("bench line " + std::to_string(line) +
-                                 ": unknown keyword '" + kw + "'");
+        fail(line, "unknown keyword '" + upper(kw) + "'");
       }
       continue;
     }
 
-    const std::string lhs = trim(s.substr(0, eq));
-    const std::string rhs = trim(s.substr(eq + 1));
+    const std::string_view lhs = trim(s.substr(0, eq));
+    const std::string_view rhs = trim(s.substr(eq + 1));
     const auto ropen = rhs.find('(');
     const auto rclose = rhs.rfind(')');
-    if (lhs.empty() || ropen == std::string::npos ||
-        rclose == std::string::npos || rclose < ropen) {
-      throw std::runtime_error("bench line " + std::to_string(line) +
-                               ": malformed assignment '" + s + "'");
+    if (lhs.empty() || ropen == std::string_view::npos ||
+        rclose == std::string_view::npos || rclose < ropen) {
+      fail(line, "malformed assignment '" + std::string(s) + "'");
     }
-    PendingGate pg;
-    pg.type = parse_type(trim(rhs.substr(0, ropen)), line);
-    pg.fanin_names = split_args(rhs.substr(ropen + 1, rclose - ropen - 1), line);
-    pg.line = line;
-    if (const auto di = def_index.find(lhs); di != def_index.end()) {
-      throw std::runtime_error("bench line " + std::to_string(line) +
-                               ": net '" + lhs + "' redefined (first "
-                               "assigned at line " +
-                               std::to_string(defs[di->second].second.line) +
-                               ")");
+    Def d{parse_type(trim(rhs.substr(0, ropen)), line), line, kNone,
+          static_cast<std::uint32_t>(operands.size()), 0};
+    // Comma-separated operands; an empty last one (a trailing comma) is
+    // dropped, any other empty one is an error.
+    const std::string_view args = rhs.substr(ropen + 1, rclose - ropen - 1);
+    for (std::size_t a = 0;;) {
+      const auto comma = args.find(',', a);
+      const std::string_view op = trim(args.substr(a, comma - a));
+      if (comma == std::string_view::npos) {
+        if (!op.empty()) operands.push_back(names.intern(op));
+        break;
+      }
+      if (op.empty()) fail(line, "empty operand");
+      operands.push_back(names.intern(op));
+      a = comma + 1;
     }
-    if (const auto il = input_line.find(lhs); il != input_line.end()) {
-      throw std::runtime_error(
-          "bench line " + std::to_string(line) + ": net '" + lhs +
-          "' is declared INPUT at line " + std::to_string(il->second) +
-          " and cannot also be assigned");
+    d.operands = static_cast<std::uint32_t>(operands.size()) - d.first_operand;
+    d.name = names.intern(lhs);
+    const NameTable::Entry& e = names[d.name];
+    if (e.def != kNone) {
+      fail(line, "net '" + std::string(lhs) +
+                     "' redefined (first assigned at line " +
+                     std::to_string(defs[e.def].line) + ")");
+    }
+    if (e.input_line != 0) {
+      fail(line, "net '" + std::string(lhs) + "' is declared INPUT at line " +
+                     std::to_string(e.input_line) +
+                     " and cannot also be assigned");
     }
     // A storage element may feed back on itself (q = DFF(q) is a hold
     // loop); a combinational gate driving itself can never stabilize.
-    if (!is_storage(pg.type)) {
-      for (const auto& fn : pg.fanin_names) {
-        if (fn == lhs) {
-          throw std::runtime_error("bench line " + std::to_string(line) +
-                                   ": combinational net '" + lhs +
-                                   "' drives itself");
+    if (!is_storage(d.type)) {
+      for (std::uint32_t k = 0; k < d.operands; ++k) {
+        if (operands[d.first_operand + k] == d.name) {
+          fail(line, "combinational net '" + std::string(lhs) +
+                         "' drives itself");
         }
       }
     }
-    def_index[lhs] = defs.size();
-    defs.emplace_back(lhs, std::move(pg));
+    names[d.name].def = static_cast<std::uint32_t>(defs.size());
+    defs.push_back(d);
   }
 
   Netlist nl(std::move(netlist_name));
-  std::map<std::string, GateId> ids;
-  for (const auto& n : input_names) ids[n] = nl.add_input(n);
+  // Inputs, the storage placeholder, one gate per definition, outputs.
+  nl.reserve(input_names.size() + 1 + defs.size() + output_names.size());
+  for (std::uint32_t n : input_names) {
+    names[n].id = nl.add_input(std::string(names[n].name));
+  }
 
   // Storage elements break cycles, so create them first as placeholders
   // driven by a temporary const; then add combinational gates in dependency
   // order; finally rewire storage fanins.
   GateId placeholder = kNoGate;
-  for (const auto& [name, pg] : defs) {
-    if (!is_storage(pg.type)) continue;
+  for (const Def& d : defs) {
+    if (!is_storage(d.type)) continue;
     if (placeholder == kNoGate) placeholder = nl.add_gate(GateType::Const0, {});
-    std::vector<GateId> f(pg.fanin_names.size(), placeholder);
-    ids[name] = nl.add_gate(pg.type, std::move(f), name);
+    check_arity(d.type, d.operands, d.line);
+    names[d.name].id =
+        nl.add_gate(d.type, std::vector<GateId>(d.operands, placeholder),
+                    std::string(names[d.name].name));
   }
 
   // Combinational gates: depth-first resolution with an explicit stack (the
@@ -191,85 +294,87 @@ Netlist read_bench(std::istream& in, std::string netlist_name) {
   // multi-megabyte sizes its chain depth is far past any thread's stack.
   std::vector<char> visiting(defs.size(), 0);
   struct Frame {
-    std::size_t def;
-    std::size_t next_fanin = 0;
+    std::uint32_t def;
+    std::uint32_t next_operand = 0;
   };
   std::vector<Frame> stack;
-  // Pushes `name` if it still needs resolving; throws on undefined nets and
+  // Pushes net `n` if it still needs resolving; throws on undefined nets and
   // on cycles (a def re-entered while its fanins are being resolved).
-  auto push = [&](const std::string& name, int from_line) {
-    if (ids.find(name) != ids.end()) return;
-    const auto di = def_index.find(name);
-    if (di == def_index.end()) {
-      throw std::runtime_error("bench line " + std::to_string(from_line) +
-                               ": undefined net '" + name + "'");
+  auto push = [&](std::uint32_t n, int from_line) {
+    const NameTable::Entry& e = names[n];
+    if (e.id != kNoGate) return;
+    if (e.def == kNone) {
+      fail(from_line, "undefined net '" + std::string(e.name) + "'");
     }
-    if (visiting[di->second]) {
-      throw std::runtime_error(
-          "bench line " + std::to_string(defs[di->second].second.line) +
-          ": combinational cycle through net '" + name + "'");
+    if (visiting[e.def]) {
+      fail(defs[e.def].line, "combinational cycle through net '" +
+                                 std::string(e.name) + "'");
     }
-    visiting[di->second] = 1;
-    stack.push_back({di->second});
+    visiting[e.def] = 1;
+    stack.push_back({e.def});
   };
-  for (const auto& [name, pg] : defs) {
-    if (is_storage(pg.type)) continue;
-    push(name, pg.line);
+  std::vector<GateId> fanin;
+  for (const Def& root : defs) {
+    if (is_storage(root.type)) continue;
+    push(root.name, root.line);
     while (!stack.empty()) {
       Frame& top = stack.back();
-      const PendingGate& tg = defs[top.def].second;
-      if (top.next_fanin < tg.fanin_names.size()) {
+      const Def& d = defs[top.def];
+      if (top.next_operand < d.operands) {
         // Descend into the next unresolved fanin (the reference into the
         // stack is not used after the potential reallocation in push).
-        push(tg.fanin_names[top.next_fanin++], tg.line);
+        push(operands[d.first_operand + top.next_operand++], d.line);
         continue;
       }
       // Every fanin resolved: emit this gate in DFS postorder, exactly the
       // order the recursive formulation produced.
-      std::vector<GateId> f;
-      f.reserve(tg.fanin_names.size());
-      for (const auto& fn : tg.fanin_names) f.push_back(ids.at(fn));
+      check_arity(d.type, d.operands, d.line);
+      fanin.clear();
+      for (std::uint32_t k = 0; k < d.operands; ++k) {
+        fanin.push_back(names[operands[d.first_operand + k]].id);
+      }
       visiting[top.def] = 0;
-      ids[defs[top.def].first] = nl.add_gate(tg.type, std::move(f),
-                                             defs[top.def].first);
+      names[d.name].id =
+          nl.add_gate(d.type, fanin, std::string(names[d.name].name));
       stack.pop_back();
     }
   }
 
   // Rewire storage fanins from placeholders to their real drivers.
-  for (const auto& [name, pg] : defs) {
-    if (!is_storage(pg.type)) continue;
-    const GateId g = ids.at(name);
-    for (std::size_t pin = 0; pin < pg.fanin_names.size(); ++pin) {
-      auto it = ids.find(pg.fanin_names[pin]);
-      if (it == ids.end()) {
-        throw std::runtime_error("bench line " + std::to_string(pg.line) +
-                                 ": undefined net '" + pg.fanin_names[pin] +
-                                 "'");
+  for (const Def& d : defs) {
+    if (!is_storage(d.type)) continue;
+    for (std::uint32_t k = 0; k < d.operands; ++k) {
+      const NameTable::Entry& e = names[operands[d.first_operand + k]];
+      if (e.id == kNoGate) {
+        fail(d.line, "undefined net '" + std::string(e.name) + "'");
       }
-      nl.set_fanin(g, static_cast<int>(pin), it->second);
+      nl.set_fanin(names[d.name].id, static_cast<int>(k), e.id);
     }
   }
 
-  for (const auto& [name, oline] : output_names) {
-    auto it = ids.find(name);
-    if (it == ids.end()) {
-      throw std::runtime_error("bench line " + std::to_string(oline) +
-                               ": undefined output net '" + name + "'");
+  for (const auto& [n, oline] : output_names) {
+    const NameTable::Entry& e = names[n];
+    if (e.id == kNoGate) {
+      fail(oline, "undefined output net '" + std::string(e.name) + "'");
     }
-    std::string oname = "out_" + name;
+    const std::string base = "out_" + std::string(e.name);
+    std::string oname = base;
     for (int k = 2; nl.find(oname).has_value(); ++k) {
-      oname = "out_" + name + "_" + std::to_string(k);
+      oname = base + "_" + std::to_string(k);
     }
-    nl.add_output(it->second, oname);
+    nl.add_output(e.id, std::move(oname));
   }
   nl.validate();
   return nl;
 }
 
-Netlist read_bench_string(std::string_view text, std::string netlist_name) {
-  std::istringstream in{std::string(text)};
-  return read_bench(in, std::move(netlist_name));
+Netlist read_bench(std::istream& in, std::string netlist_name) {
+  std::string text;
+  char buf[1 << 16];
+  while (in.read(buf, sizeof buf) || in.gcount() > 0) {
+    text.append(buf, static_cast<std::size_t>(in.gcount()));
+  }
+  return read_bench_string(text, std::move(netlist_name));
 }
 
 Netlist read_bench_file(const std::string& path) {
@@ -278,12 +383,35 @@ Netlist read_bench_file(const std::string& path) {
   return read_bench(in, path);
 }
 
-void write_bench(std::ostream& out, const Netlist& nl) {
-  out << "# netlist: " << (nl.name().empty() ? "(unnamed)" : nl.name())
-      << "\n";
-  for (GateId g : nl.inputs()) out << "INPUT(" << nl.label(g) << ")\n";
+namespace {
+
+void append_label(std::string& out, const Netlist& nl, GateId g) {
+  const std::string_view name = nl.gate_name(g);
+  if (!name.empty()) {
+    out += name;
+    return;
+  }
+  char buf[16];
+  const auto r = std::to_chars(buf, buf + sizeof buf, g);
+  out += 'g';
+  out.append(buf, r.ptr);
+}
+
+}  // namespace
+
+std::string write_bench_string(const Netlist& nl) {
+  std::string out = "# netlist: ";
+  out += nl.name().empty() ? "(unnamed)" : nl.name();
+  out += '\n';
+  for (GateId g : nl.inputs()) {
+    out += "INPUT(";
+    append_label(out, nl, g);
+    out += ")\n";
+  }
   for (GateId g : nl.outputs()) {
-    out << "OUTPUT(" << nl.label(nl.fanin(g).front()) << ")\n";
+    out += "OUTPUT(";
+    append_label(out, nl, nl.fanin(g).front());
+    out += ")\n";
   }
   for (GateId g = 0; g < nl.size(); ++g) {
     const GateType t = nl.type(g);
@@ -293,20 +421,22 @@ void write_bench(std::ostream& out, const Netlist& nl) {
         nl.gate_name(g).empty() && nl.fanout(g).empty()) {
       continue;
     }
-    out << nl.label(g) << " = " << gate_type_name(t) << "(";
+    append_label(out, nl, g);
+    out += " = ";
+    out += gate_type_name(t);
+    out += '(';
     const auto& f = nl.fanin(g);
     for (std::size_t i = 0; i < f.size(); ++i) {
-      if (i != 0) out << ", ";
-      out << nl.label(f[i]);
+      if (i != 0) out += ", ";
+      append_label(out, nl, f[i]);
     }
-    out << ")\n";
+    out += ")\n";
   }
+  return out;
 }
 
-std::string write_bench_string(const Netlist& nl) {
-  std::ostringstream os;
-  write_bench(os, nl);
-  return os.str();
+void write_bench(std::ostream& out, const Netlist& nl) {
+  out << write_bench_string(nl);
 }
 
 }  // namespace dft

@@ -43,6 +43,13 @@ GateId Netlist::add_gate(GateType type, std::vector<GateId> fanin,
   return id;
 }
 
+void Netlist::reserve(std::size_t gates) {
+  types_.reserve(gates);
+  fanins_.reserve(gates);
+  names_.reserve(gates);
+  by_name_.reserve(gates);
+}
+
 void Netlist::set_fanin(GateId gate, int pin, GateId driver) {
   check_gate(gate);
   check_gate(driver);

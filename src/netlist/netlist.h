@@ -36,6 +36,10 @@ class Netlist {
     return add_gate(GateType::Output, {driver}, std::move(name));
   }
 
+  // Makes room for `gates` gates in all, so a builder that knows its size
+  // up front allocates each per-gate array once.
+  void reserve(std::size_t gates);
+
   // Rewires a single fanin pin. Invalidates cached fanout/levels.
   void set_fanin(GateId gate, int pin, GateId driver);
 

@@ -2,10 +2,15 @@
 // simulators (serial reference vs parallel-pattern single-fault).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
+#include <set>
+#include <utility>
 
 #include "circuits/basic.h"
+#include "circuits/pla.h"
 #include "circuits/random_circuit.h"
+#include "circuits/sequential.h"
 #include "circuits/sn74181.h"
 #include "fault/fault.h"
 #include "fault/fault_sim.h"
@@ -215,6 +220,189 @@ TEST(FaultName, FormatsPinAndOutputFaults) {
   const GateId c = *nl.find("c");
   EXPECT_EQ(fault_name(nl, {c, -1, true}), "c/1");
   EXPECT_EQ(fault_name(nl, {c, 0, false}), "c.in0(a)/0");
+}
+
+// --- Collapse oracle ---------------------------------------------------------
+
+// A plain reference collapse: the universe from the documented rules, and a
+// map-keyed union-find over Fault values with the two equivalence rules
+// applied by brute force. collapse_faults must agree with it exactly.
+CollapseResult reference_collapse(const Netlist& nl) {
+  std::set<Fault> universe;
+  for (GateId g = 0; g < nl.size(); ++g) {
+    const GateType t = nl.type(g);
+    if (t != GateType::Output && !nl.fanout(g).empty()) {
+      universe.insert({g, -1, false});
+      universe.insert({g, -1, true});
+    }
+    for (int p = 0; p < static_cast<int>(nl.fanin(g).size()); ++p) {
+      if (is_combinational(t) && t != GateType::Output) {
+        universe.insert({g, p, false});
+        universe.insert({g, p, true});
+      } else if (is_storage(t) && p == kStoragePinD) {
+        universe.insert({g, p, false});
+        universe.insert({g, p, true});
+      }
+    }
+  }
+  std::map<Fault, Fault> parent;
+  for (const Fault& f : universe) parent[f] = f;
+  const auto find = [&](Fault f) {
+    while (!(parent.at(f) == f)) f = parent.at(f);
+    return f;
+  };
+  const auto unite = [&](const Fault& a, const Fault& b) {
+    if (universe.count(a) == 0 || universe.count(b) == 0) return;
+    parent[find(a)] = find(b);
+  };
+  for (GateId g = 0; g < nl.size(); ++g) {
+    // Rule 1: a stem with exactly one sink pin anywhere in the netlist.
+    std::vector<std::pair<GateId, int>> sinks;
+    for (GateId s = 0; s < nl.size(); ++s) {
+      for (std::size_t p = 0; p < nl.fanin(s).size(); ++p) {
+        if (nl.fanin(s)[p] == g) sinks.emplace_back(s, static_cast<int>(p));
+      }
+    }
+    if (sinks.size() == 1) {
+      const auto [s, p] = sinks.front();
+      unite({g, -1, false}, {s, p, false});
+      unite({g, -1, true}, {s, p, true});
+    }
+    // Rule 2: the controlling input value implies the output value.
+    std::vector<std::pair<bool, bool>> pin_out;
+    switch (nl.type(g)) {
+      case GateType::And: pin_out = {{false, false}}; break;
+      case GateType::Nand: pin_out = {{false, true}}; break;
+      case GateType::Or: pin_out = {{true, true}}; break;
+      case GateType::Nor: pin_out = {{true, false}}; break;
+      case GateType::Buf: pin_out = {{false, false}, {true, true}}; break;
+      case GateType::Not: pin_out = {{false, true}, {true, false}}; break;
+      default: break;
+    }
+    for (const auto& [pin_v, out_v] : pin_out) {
+      for (int p = 0; p < static_cast<int>(nl.fanin(g).size()); ++p) {
+        unite({g, p, pin_v}, {g, -1, out_v});
+      }
+    }
+  }
+  CollapseResult ref;
+  ref.universe.assign(universe.begin(), universe.end());
+  std::map<Fault, Fault> smallest;  // root -> smallest member
+  for (const Fault& f : ref.universe) smallest.emplace(find(f), f);
+  std::map<Fault, int> rep_index;
+  for (const auto& [root, rep] : smallest) rep_index[rep] = 0;
+  for (auto& [rep, index] : rep_index) {
+    index = static_cast<int>(ref.representatives.size());
+    ref.representatives.push_back(rep);
+  }
+  for (const Fault& f : ref.universe) {
+    ref.rep_index_of_universe.push_back(rep_index.at(smallest.at(find(f))));
+  }
+  return ref;
+}
+
+void expect_collapse_matches_reference(const Netlist& nl,
+                                       const std::string& what) {
+  const CollapseResult got = collapse_faults(nl);
+  const CollapseResult ref = reference_collapse(nl);
+  EXPECT_EQ(got.universe, ref.universe) << what;
+  EXPECT_EQ(got.representatives, ref.representatives) << what;
+  EXPECT_EQ(got.rep_index_of_universe, ref.rep_index_of_universe) << what;
+}
+
+// A random netlist with every structure the collapse rules treat apart:
+// storage of all four kinds (fed back from later gates), Mux, Tristate
+// drivers resolved by a Bus, constants (live and dead), every simple gate
+// type, and repeated fanins (a stem with two pins on one gate).
+Netlist random_mixed_netlist(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto pick = [&](std::size_t n) { return rng() % n; };
+  Netlist nl("mixed" + std::to_string(seed));
+  std::vector<GateId> drivers;
+  for (int i = 0; i < 4 + static_cast<int>(pick(4)); ++i) {
+    drivers.push_back(nl.add_input("i" + std::to_string(i)));
+  }
+  drivers.push_back(nl.add_gate(GateType::Const0, {}));
+  drivers.push_back(nl.add_gate(GateType::Const1, {}));
+  nl.add_gate(GateType::Const1, {});  // dead constant
+  const GateType kStorage[] = {GateType::Dff, GateType::ScanDff,
+                               GateType::Srl, GateType::AddressableLatch};
+  std::vector<GateId> storage;
+  for (int i = 0; i < 1 + static_cast<int>(pick(4)); ++i) {
+    const GateType t = kStorage[pick(4)];
+    const std::vector<GateId> fin(
+        static_cast<std::size_t>(fanin_arity(t).min), drivers.front());
+    storage.push_back(nl.add_gate(t, fin));
+    drivers.push_back(storage.back());
+  }
+  const GateType kSimple[] = {GateType::Buf, GateType::Not, GateType::And,
+                              GateType::Nand, GateType::Or, GateType::Nor,
+                              GateType::Xor, GateType::Xnor};
+  const auto any = [&] { return drivers[pick(drivers.size())]; };
+  for (int i = 0; i < 30 + static_cast<int>(pick(30)); ++i) {
+    const std::size_t kind = pick(12);
+    if (kind < 8) {
+      const GateType t = kSimple[kind];
+      const std::size_t n = fanin_arity(t).max == 1 ? 1 : 1 + pick(4);
+      std::vector<GateId> fin;
+      for (std::size_t k = 0; k < n; ++k) fin.push_back(any());
+      drivers.push_back(nl.add_gate(t, fin));
+    } else if (kind < 10) {
+      drivers.push_back(nl.add_gate(GateType::Mux, {any(), any(), any()}));
+    } else {
+      std::vector<GateId> tri;
+      for (std::size_t k = 0; k < 1 + pick(3); ++k) {
+        tri.push_back(nl.add_gate(GateType::Tristate, {any(), any()}));
+      }
+      drivers.push_back(nl.add_gate(GateType::Bus, tri));
+    }
+  }
+  for (GateId q : storage) {
+    for (std::size_t p = 0; p < nl.fanin(q).size(); ++p) {
+      nl.set_fanin(q, static_cast<int>(p), any());
+    }
+  }
+  for (int i = 0; i < 3; ++i) nl.add_output(any());
+  nl.add_output(drivers.back());
+  nl.validate();
+  return nl;
+}
+
+TEST(CollapseOracle, BuiltInCircuitsMatchTheReference) {
+  RandomSeqSpec seq;
+  seq.num_flops = 6;
+  seq.gates_per_cone = 5;
+  RandomCircuitSpec comb;
+  comb.num_gates = 300;
+  const std::vector<std::pair<std::string, Netlist>> circuits = {
+      {"fig1", make_fig1_and()},
+      {"c17", make_c17()},
+      {"adder4", make_ripple_adder(4)},
+      {"mult3", make_array_multiplier(3)},
+      {"dec3", make_decoder(3)},
+      {"parity8", make_parity_tree(8)},
+      {"mux3", make_mux_tree(3)},
+      {"cmp4", make_comparator(4)},
+      {"maj5", make_majority_voter(5)},
+      {"sn74181", make_sn74181()},
+      {"counter8", make_counter(8)},
+      {"shift6", make_shift_register(6)},
+      {"seqdet", make_sequence_detector()},
+      {"accum4", make_accumulator(4)},
+      {"pla", make_pla(make_random_pla_spec(6, 4, 10, 3, 5))},
+      {"rand_seq", make_random_sequential(seq)},
+      {"rand_comb", make_random_combinational(comb)},
+  };
+  for (const auto& [name, nl] : circuits) {
+    expect_collapse_matches_reference(nl, name);
+  }
+}
+
+TEST(CollapseOracle, RandomMixedNetlistsMatchTheReference) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    expect_collapse_matches_reference(random_mixed_netlist(seed),
+                                      "seed " + std::to_string(seed));
+  }
 }
 
 }  // namespace
