@@ -129,7 +129,7 @@ constexpr unsigned swap_drails(unsigned r) {
 // Both machines are folded at once on the four-bit dual-rail code above:
 // AND may be 0 when any input may be 0 and may be 1 only when every input
 // may be 1; OR is the dual; inversion swaps each rail's bits; XOR is the
-// parity of its inputs unless one of them is unknown; MUX selects rails
+// parity of its inputs, X from the first unknown one; MUX selects rails
 // with the select's rails. Tri-state/bus gates use the pull-down model of
 // the two-valued simulators in each machine (data AND enable, the OR of the
 // drivers) so ATPG agrees with fault simulation. Every other gate yields
@@ -174,16 +174,16 @@ DVal eval_gate_dval_at(GateType t, std::size_t n, const At& at) {
     }
     case GateType::Xor:
     case GateType::Xnor: {
-      // Parity and unknown flags sit on each rail's "may be 0" bit.
+      // Any X input makes the parity X: stop at the first one. Otherwise
+      // the parity sits on each rail's "may be 0" bit.
       unsigned parity = t == GateType::Xnor ? kMay0 : 0u;
-      unsigned unknown = 0;
       for (std::size_t i = 0; i < n; ++i) {
-        const unsigned r = rails(i);
-        parity ^= (r >> 1) & kMay0;
-        unknown |= r & (r >> 1) & kMay0;
+        const DVal v = at(i);
+        if (v == DVal::X) return DVal::X;
+        parity ^= (kDRails[static_cast<unsigned>(v)] >> 1) & kMay0;
       }
       // 01 + parity is 01 or 10 per rail, with no carry between rails.
-      return kFromDRails[(kMay0 + parity) | (unknown * 3u)];
+      return kFromDRails[kMay0 + parity];
     }
     case GateType::Mux: {
       const unsigned sel = rails(kMuxPinSel);

@@ -387,20 +387,33 @@ AtpgRun run_atpg_impl(const Netlist& nl, const std::vector<Fault>& faults,
   for (std::size_t i : aborted_pool) run.aborted.push_back(faults[i]);
 
   if (guard::interrupted(istatus)) {
-    // Partial finalize: no compaction pass (it re-simulates) and no
-    // verification sim. The tests generated so far are returned as-is and
-    // the detected census is the dropping bookkeeping, which final
-    // verification would only confirm.
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      if (!detected[i] && !closed[i]) run.remaining.push_back(faults[i]);
-    }
+    // Partial finalize: no compaction pass. The tests generated so far are
+    // returned as-is, and the detected census is one fault simulation of
+    // exactly those tests. The dropping bookkeeping is not enough: the
+    // cubes are filled anew here, a later test can detect a fault that
+    // aborted earlier, and a cross-drop cut short by the budget never
+    // simulated some faults.
     run.tests = std::move(random_tests);
     for (auto& c : cubes) {
       random_fill(c, rng);
       run.tests.push_back(std::move(c));
     }
+    std::vector<char> hit(faults.size(), 0);
+    if (!run.tests.empty()) {
+      const FaultSimResult s = fsim->run(run.tests, faults);
+      for (std::size_t i = 0; i < faults.size(); ++i) {
+        hit[i] = s.first_detected_by[i] >= 0 ? 1 : 0;
+      }
+    }
+    run.aborted.clear();
+    for (std::size_t i : aborted_pool) {
+      if (!hit[i]) run.aborted.push_back(faults[i]);
+    }
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      if (!hit[i] && !closed[i]) run.remaining.push_back(faults[i]);
+    }
     run.detected = static_cast<int>(
-        std::count(detected.begin(), detected.end(), static_cast<char>(1)));
+        std::count(hit.begin(), hit.end(), static_cast<char>(1)));
     run.status = istatus;
   } else {
     // Phase 3: compaction and final verification fault simulation.

@@ -385,7 +385,22 @@ Netlist read_bench_file(const std::string& path) {
 
 namespace {
 
-void append_label(std::string& out, const Netlist& nl, GateId g) {
+// Counts what the writer would append, so the text is sized in a first pass
+// and written into one allocation in the second.
+struct TextSize {
+  std::size_t n = 0;
+  TextSize& operator+=(std::string_view s) {
+    n += s.size();
+    return *this;
+  }
+  TextSize& operator+=(char) {
+    ++n;
+    return *this;
+  }
+};
+
+template <class Out>
+void append_label(Out& out, const Netlist& nl, GateId g) {
   const std::string_view name = nl.gate_name(g);
   if (!name.empty()) {
     out += name;
@@ -394,14 +409,13 @@ void append_label(std::string& out, const Netlist& nl, GateId g) {
   char buf[16];
   const auto r = std::to_chars(buf, buf + sizeof buf, g);
   out += 'g';
-  out.append(buf, r.ptr);
+  out += std::string_view(buf, static_cast<std::size_t>(r.ptr - buf));
 }
 
-}  // namespace
-
-std::string write_bench_string(const Netlist& nl) {
-  std::string out = "# netlist: ";
-  out += nl.name().empty() ? "(unnamed)" : nl.name();
+template <class Out>
+void append_bench(Out& out, const Netlist& nl) {
+  out += "# netlist: ";
+  out += nl.name().empty() ? std::string_view("(unnamed)") : nl.name();
   out += '\n';
   for (GateId g : nl.inputs()) {
     out += "INPUT(";
@@ -432,6 +446,16 @@ std::string write_bench_string(const Netlist& nl) {
     }
     out += ")\n";
   }
+}
+
+}  // namespace
+
+std::string write_bench_string(const Netlist& nl) {
+  TextSize size;
+  append_bench(size, nl);
+  std::string out;
+  out.reserve(size.n);
+  append_bench(out, nl);
   return out;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_set>
 
 #include "obs/obs.h"
 #include "sim/eval.h"
@@ -101,12 +100,14 @@ bool StaticAnalyzer::examine(GateId g) {
       const std::uint8_t c =
           (t == GateType::And || t == GateType::Nand) ? k0 : k1;
       const std::uint8_t nc = neg(c);
-      bool any_ctrl = false, all_known = true;
+      bool all_known = true;
       GateId unknown = kNoGate;
       bool many_unknowns = false;  // >= 2 DISTINCT unknown drivers
       for (GateId w : fi) {
         const std::uint8_t v = val_[w];
-        if (v == c) any_ctrl = true;
+        // One controlling input settles the output, and nothing else the
+        // scan could find would fire a rule.
+        if (v == c) return assign(g, inv ? nc : c);
         if (v == kX) {
           all_known = false;
           // Distinctness must be sticky: the same line on two pins is one
@@ -119,18 +120,14 @@ bool StaticAnalyzer::examine(GateId g) {
           }
         }
       }
-      if (any_ctrl) {
-        if (!assign(g, inv ? neg(c) : c)) return false;
-      } else if (all_known) {
-        if (!assign(g, inv ? neg(nc) : nc)) return false;
-      }
+      const std::uint8_t out_nc = inv ? c : nc;  // all-non-controlling
+      if (all_known && !assign(g, out_nc)) return false;
       if (out != kX) {
-        const std::uint8_t out_nc = inv ? neg(nc) : nc;  // all-non-controlling
         if (out == out_nc) {
           for (GateId w : fi) {
             if (!assign(w, nc)) return false;
           }
-        } else if (!any_ctrl && unknown != kNoGate && !many_unknowns) {
+        } else if (unknown != kNoGate && !many_unknowns) {
           // Output at the controlled value, every known input
           // non-controlling, exactly one unknown driver: it must control.
           if (!assign(unknown, c)) return false;
@@ -141,33 +138,25 @@ bool StaticAnalyzer::examine(GateId g) {
 
     case GateType::Xor:
     case GateType::Xnor: {
-      // Parity with duplicate-fanin multiplicity: an unknown driver feeding
-      // an even number of pins cancels out of the parity entirely, which is
-      // how XOR(a,a)-style constants become visible. Multiplicity uses a
-      // scratch counter array, not a nested scan -- the generators build
-      // observation XORs thousands of pins wide, where O(fanin^2) per
-      // examination is ruinous.
+      // Parity over the odd-multiplicity drivers only: a driver on an even
+      // number of pins cancels out of the parity entirely, which is how
+      // XOR(a,a)-style constants become visible. A second unknown driver
+      // ends the scan, since no rule fires with two.
       bool parity = t == GateType::Xnor;  // fold the inversion in
-      for (GateId w : fi) {
+      GateId unknown = kNoGate;
+      for (GateId w : odd_drivers(g)) {
         const std::uint8_t v = val_[w];
-        if (v == k1) parity = !parity;
-        if (v == kX && mult_[w]++ == 0) mult_touched_.push_back(w);
-      }
-      GateId odd_unknown = kNoGate;
-      int odd_unknowns = 0;
-      for (GateId w : mult_touched_) {
-        if (mult_[w] % 2 == 1) {
-          odd_unknown = w;
-          ++odd_unknowns;
+        if (v == k1) {
+          parity = !parity;
+        } else if (v == kX) {
+          if (unknown != kNoGate) return true;
+          unknown = w;
         }
-        mult_[w] = 0;
       }
-      mult_touched_.clear();
-      if (odd_unknowns == 0) {
-        if (!assign(g, parity ? k1 : k0)) return false;
-      } else if (odd_unknowns == 1 && out != kX) {
+      if (unknown == kNoGate) return assign(g, parity ? k1 : k0);
+      if (out != kX) {
         const bool want = (out == k1) != parity;
-        if (!assign(odd_unknown, want ? k1 : k0)) return false;
+        return assign(unknown, want ? k1 : k0);
       }
       return true;
     }
@@ -237,6 +226,7 @@ bool StaticAnalyzer::propagate(std::size_t max_work) {
       clear_queues();
       return true;
     }
+    ++stats_.probe_work;
     if (!pending_.empty()) {
       const std::uint32_t l = pending_.back();
       pending_.pop_back();
@@ -292,28 +282,34 @@ void StaticAnalyzer::commit(GateId g, std::uint8_t v) {
 // --- phase probing + contrapositive learning --------------------------------
 
 void StaticAnalyzer::run_probing(const StaOptions& opt) {
-  std::unordered_set<std::uint64_t> seen_edges;
   std::size_t learned_total = 0;
   probe_cap_ = opt.max_probe_work;
+  // adjacent[b] == epoch marks g, its fanins and its fanouts for the probe
+  // of g being learned from.
+  std::vector<std::uint32_t> adjacent(cn_.size(), 0);
+  std::uint32_t epoch = 0;
 
   // Collects contrapositives of the literals the last imply() derived:
   // (g=v -> b=w) becomes (b=~w -> g=~v). Adjacent pairs are skipped -- the
   // direct rules re-derive those for free.
   auto learn_from_trail = [&](GateId g, std::uint8_t v) {
     if (!opt.learn || learned_total >= opt.max_learned) return;
+    ++epoch;
+    adjacent[g] = epoch;
+    for (GateId w : cn_.fanin(g)) adjacent[w] = epoch;
+    for (GateId w : cn_.fanout(g)) adjacent[w] = epoch;
     const std::uint32_t consequent = lit(g, neg(v));
     for (GateId b : trail_) {
-      if (b == g) continue;
-      bool adjacent = false;
-      for (GateId w : cn_.fanin(g)) adjacent |= w == b;
-      for (GateId w : cn_.fanin(b)) adjacent |= w == g;
-      if (adjacent) continue;
+      if (adjacent[b] == epoch) continue;
       const std::uint32_t key = lit(b, neg(val_[b]));
-      if (learned_[key].size() >= opt.max_learned_per_literal) continue;
-      const std::uint64_t edge =
-          (static_cast<std::uint64_t>(key) << 32) | consequent;
-      if (!seen_edges.insert(edge).second) continue;
-      learned_[key].push_back(consequent);
+      // A key holds at most max_learned_per_literal edges, so a linear
+      // scan is the whole dedupe.
+      auto& edges = learned_[key];
+      if (edges.size() >= opt.max_learned_per_literal) continue;
+      if (std::find(edges.begin(), edges.end(), consequent) != edges.end()) {
+        continue;
+      }
+      edges.push_back(consequent);
       ++learned_total;
       ++stats_.implications_learned;
       if (learned_total >= opt.max_learned) break;
@@ -550,6 +546,26 @@ void StaticAnalyzer::run_observability(const StaOptions& opt) {
 
 // --- construction / queries -------------------------------------------------
 
+void StaticAnalyzer::build_odd_drivers() {
+  const std::size_t n = cn_.size();
+  odd_offset_.assign(n + 1, 0);
+  std::vector<std::uint8_t> odd(n, 0);  // pin-count parity per driver
+  for (GateId g = 0; g < n; ++g) {
+    const GateType t = cn_.type(g);
+    if (t == GateType::Xor || t == GateType::Xnor) {
+      const auto fi = cn_.fanin(g);
+      for (GateId w : fi) odd[w] ^= 1;
+      for (GateId w : fi) {
+        if (odd[w] != 0) {  // first pin of an odd driver; cleared after
+          odd_drivers_.push_back(w);
+          odd[w] = 0;
+        }
+      }
+    }
+    odd_offset_[g + 1] = static_cast<std::uint32_t>(odd_drivers_.size());
+  }
+}
+
 StaticAnalyzer::StaticAnalyzer(const Netlist& nl, const StaOptions& opt)
     : cn_(nl) {
   const auto t0 = std::chrono::steady_clock::now();
@@ -559,8 +575,8 @@ StaticAnalyzer::StaticAnalyzer(const Netlist& nl, const StaOptions& opt)
   contradiction_.assign(n, 0);
   learned_.assign(n * 2, {});
   in_dirty_.assign(n, 0);
-  mult_.assign(n, 0);
   observable_.assign(n, 1);
+  build_odd_drivers();
 
   // Baseline: propagate the literal constants. Conflicts are impossible
   // here (constant propagation through well-formed gates), but commit()
@@ -590,9 +606,10 @@ StaticAnalyzer::StaticAnalyzer(const Netlist& nl, const StaOptions& opt)
   for (GateId g = 0; g < n; ++g) {
     if (observable_[g] == 0) ++stats_.unobservable_gates;
   }
-  stats_.elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
+  const auto elapsed_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+  stats_.elapsed_ms = elapsed_us / 1000;
 
   if (obs::enabled()) {
     obs::Registry& reg = obs::Registry::global();
@@ -606,7 +623,10 @@ StaticAnalyzer::StaticAnalyzer(const Netlist& nl, const StaOptions& opt)
         .add(static_cast<std::uint64_t>(stats_.constants_found));
     reg.counter("sta.unobservable_gates")
         .add(static_cast<std::uint64_t>(stats_.unobservable_gates));
-    reg.value("sta.elapsed_ms").set(static_cast<double>(stats_.elapsed_ms));
+    reg.counter("sta.probe_work")
+        .add(static_cast<std::uint64_t>(stats_.probe_work));
+    // One sample per build: concurrent builds each keep their own time.
+    reg.timer("sta.build").record(static_cast<std::uint64_t>(elapsed_us));
   }
 }
 

@@ -9,7 +9,8 @@
 //  1. Direct implications. Line values in {0,1,X} propagate through each
 //     gate type in both directions (controlling values forward, unique
 //     justifications backward), with duplicate-fanin multiplicity handled
-//     so XOR(a,a)-style constants are seen.
+//     so XOR(a,a)-style constants are seen: each XOR/XNOR keeps only the
+//     drivers it reads an odd number of times.
 //  2. Phase probing + static learning. For every line g, imply(g=0) and
 //     imply(g=1) are tried; a contradiction proves the opposite constant.
 //     Every derived literal b=w yields the contrapositive law
@@ -35,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "fault/fault.h"
@@ -92,6 +94,7 @@ struct StaStats {
   int fixpoint_iterations = 0;         // probing rounds actually run
   int constants_found = 0;             // lines proven Zero/One
   int unobservable_gates = 0;          // lines with no sensitizable path
+  long long probe_work = 0;            // propagation queue pops, all probes
   long long elapsed_ms = 0;            // analysis wall clock
   guard::RunStatus status = guard::RunStatus::Completed;
 };
@@ -145,6 +148,11 @@ class StaticAnalyzer {
   void undo();
   void commit(GateId g, std::uint8_t v);
 
+  std::span<const GateId> odd_drivers(GateId g) const {
+    return {odd_drivers_.data() + odd_offset_[g],
+            odd_drivers_.data() + odd_offset_[g + 1]};
+  }
+  void build_odd_drivers();
   void run_probing(const StaOptions& opt);
   void run_observability(const StaOptions& opt);
   bool edge_blocked(GateId h, std::size_t pin,
@@ -160,8 +168,11 @@ class StaticAnalyzer {
   std::vector<GateId> trail_;       // assignments to undo
   std::vector<GateId> dirty_;       // gates awaiting examine()
   std::vector<std::uint8_t> in_dirty_;  // dedupe bitmap for dirty_
-  std::vector<std::uint32_t> mult_;     // scratch duplicate-pin counters
-  std::vector<GateId> mult_touched_;    // which mult_ slots need re-zeroing
+  // CSR over gates: the distinct drivers an XOR/XNOR reads an odd number
+  // of times (empty for every other type). Even-multiplicity drivers cancel
+  // out of the parity, known or not.
+  std::vector<std::uint32_t> odd_offset_;
+  std::vector<GateId> odd_drivers_;
   std::vector<std::uint32_t> pending_;  // learned consequents to assign
   // learned_[lit] -> consequent literals (contrapositive edges).
   std::vector<std::vector<std::uint32_t>> learned_;

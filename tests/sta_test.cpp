@@ -9,7 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <iterator>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "atpg/engine.h"
@@ -18,6 +23,7 @@
 #include "circuits/random_circuit.h"
 #include "circuits/sn74181.h"
 #include "fault/fault.h"
+#include "serve/cache.h"
 #include "sta/sta.h"
 
 namespace dft {
@@ -345,6 +351,215 @@ TEST(Sta, RejectsCyclicNetlists) {
   nl.set_fanin(g1, 1, g2);
   nl.add_output(g2, "z");
   EXPECT_THROW(StaticAnalyzer{nl}, std::runtime_error);
+}
+
+// --- pinned output -----------------------------------------------------------
+
+// A random DAG over every gate kind the analyzer has rules for: inputs,
+// constants, storage of all four kinds (D pins wired back from later
+// nets), simple gates, Mux, Tristate drivers resolved by a Bus, and wide
+// XOR/XNOR gates that read one net on 2 or 3 pins (so its parity share
+// cancels or stays).
+Netlist sta_mixed_dag(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  Netlist nl("sta_mixed" + std::to_string(seed));
+  std::vector<GateId> drivers;
+  const std::size_t inputs = 5 + pick(6);
+  for (std::size_t i = 0; i < inputs; ++i) {
+    drivers.push_back(nl.add_input("i" + std::to_string(i)));
+  }
+  if (pick(2) == 0) drivers.push_back(nl.add_gate(GateType::Const0, {}));
+  if (pick(2) == 0) drivers.push_back(nl.add_gate(GateType::Const1, {}));
+  const GateType kStorage[] = {GateType::Dff, GateType::ScanDff,
+                               GateType::Srl, GateType::AddressableLatch};
+  std::vector<GateId> storage;
+  for (std::size_t i = pick(4); i > 0; --i) {
+    const GateType t = kStorage[pick(4)];
+    const std::vector<GateId> fin(
+        static_cast<std::size_t>(fanin_arity(t).min), drivers.front());
+    storage.push_back(nl.add_gate(t, fin));
+    drivers.push_back(storage.back());
+  }
+  const GateType kSimple[] = {GateType::Buf, GateType::Not, GateType::And,
+                              GateType::Nand, GateType::Or, GateType::Nor,
+                              GateType::Xor, GateType::Xnor};
+  const auto any = [&] { return drivers[pick(drivers.size())]; };
+  const std::size_t gates = 40 + pick(60);
+  for (std::size_t i = 0; i < gates; ++i) {
+    const std::size_t kind = pick(16);
+    if (kind < 8) {
+      const GateType t = kSimple[kind];
+      const std::size_t n = fanin_arity(t).max == 1 ? 1 : 1 + pick(4);
+      std::vector<GateId> fin;
+      for (std::size_t k = 0; k < n; ++k) fin.push_back(any());
+      drivers.push_back(nl.add_gate(t, fin));
+    } else if (kind < 11) {
+      std::vector<GateId> fin;
+      for (std::size_t k = 4 + pick(10); k > 0; --k) fin.push_back(any());
+      const GateId twice = fin[pick(fin.size())];
+      for (std::size_t k = 1 + pick(2); k > 0; --k) {
+        fin.insert(fin.begin() + static_cast<std::ptrdiff_t>(
+                                     pick(fin.size() + 1)),
+                   twice);
+      }
+      drivers.push_back(nl.add_gate(
+          pick(2) == 0 ? GateType::Xor : GateType::Xnor, fin));
+    } else if (kind < 13) {
+      drivers.push_back(nl.add_gate(GateType::Mux, {any(), any(), any()}));
+    } else {
+      std::vector<GateId> tri;
+      for (std::size_t k = 1 + pick(3); k > 0; --k) {
+        tri.push_back(nl.add_gate(GateType::Tristate, {any(), any()}));
+      }
+      drivers.push_back(nl.add_gate(GateType::Bus, tri));
+    }
+  }
+  for (GateId q : storage) {
+    for (std::size_t p = 0; p < nl.fanin(q).size(); ++p) {
+      nl.set_fanin(q, static_cast<int>(p), any());
+    }
+  }
+  for (int i = 0; i < 3; ++i) nl.add_output(any());
+  nl.add_output(drivers.back());
+  nl.validate();
+  return nl;
+}
+
+// Every circuit the pinned table below covers, in table order.
+std::vector<std::pair<std::string, Netlist>> pinned_corpus() {
+  std::vector<std::pair<std::string, Netlist>> out;
+  RandomCircuitSpec rand1k;  // the atpg_rand1k benchmark circuit
+  rand1k.num_inputs = 40;
+  rand1k.num_outputs = 24;
+  rand1k.num_gates = 1000;
+  rand1k.max_fanin = 4;
+  rand1k.seed = 1;
+  out.emplace_back("rand1k", make_random_combinational(rand1k));
+  for (const char* name :
+       {"rand2k", "c17", "adder4", "adder8", "mult3", "dec3", "parity8",
+        "mux3", "cmp4", "sn74181", "counter8", "accum4"}) {
+    out.emplace_back(name, serve::builtin_circuit(name));
+  }
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    out.emplace_back("mixed" + std::to_string(seed), sta_mixed_dag(seed));
+  }
+  return out;
+}
+
+// FNV-1a over everything the analyzer answers: constant() and
+// observable() of every gate, then untestable() of every collapsed fault.
+std::uint64_t verdict_digest(const Netlist& nl, const StaticAnalyzer& an) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](unsigned v) {
+    h ^= v;
+    h *= 0x100000001b3ULL;
+  };
+  for (GateId g = 0; g < nl.size(); ++g) {
+    mix(static_cast<unsigned>(an.constant(g)));
+    mix(an.observable(g) ? 1u : 0u);
+  }
+  for (const Fault& f : collapse_faults(nl).representatives) {
+    mix(an.untestable(f) ? 1u : 0u);
+  }
+  return h;
+}
+
+struct PinnedAnalysis {
+  std::string name;
+  long long imply_calls;
+  long long implications_learned;
+  long long probe_work;
+  int constants_found;
+  int unobservable_gates;
+  std::uint64_t digest;
+
+  bool operator==(const PinnedAnalysis&) const = default;
+};
+
+// The analysis of one corpus circuit as a row of the table below.
+PinnedAnalysis analyze(const std::string& name, const Netlist& nl) {
+  const StaticAnalyzer an(nl);
+  const sta::StaStats& s = an.stats();
+  EXPECT_EQ(s.status, guard::RunStatus::Completed) << name;
+  return {name,
+          s.imply_calls,
+          s.implications_learned,
+          s.probe_work,
+          s.constants_found,
+          s.unobservable_gates,
+          verdict_digest(nl, an)};
+}
+
+std::string row(const PinnedAnalysis& a) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                "{\"%s\", %lld, %lld, %lld, %d, %d, 0x%016" PRIx64 "ULL},",
+                a.name.c_str(), a.imply_calls, a.implications_learned,
+                a.probe_work, a.constants_found, a.unobservable_gates,
+                a.digest);
+  return buf;
+}
+
+// Recorded from the analyzer before its probing loop gained the odd-driver
+// lists, the early exits and the hash-free edge dedupe: the loop must
+// derive exactly the same facts with exactly the same queue pops.
+const PinnedAnalysis kPinned[] = {
+    {"rand1k", 2700, 52014, 1075086, 347, 102, 0x1bd83334e815fa84ULL},
+    {"rand2k", 5398, 65536, 2750942, 699, 191, 0x10f7547a48d6d0c6ULL},
+    {"c17", 24, 7, 173, 0, 0, 0x5f4ae20d20edacfaULL},
+    {"adder4", 80, 30, 494, 0, 0, 0x6e9c3f3d476c1285ULL},
+    {"adder8", 160, 58, 990, 0, 0, 0x9d8d5c0974835f85ULL},
+    {"mult3", 128, 196, 1971, 2, 0, 0x2f0059d3aae1958fULL},
+    {"dec3", 44, 172, 1566, 0, 0, 0x3de220b4cbbdfc72ULL},
+    {"parity8", 14, 0, 30, 0, 0, 0xe3bccf64bd8e84ddULL},
+    {"mux3", 14, 0, 30, 0, 0, 0xef645f03b786b412ULL},
+    {"cmp4", 144, 595, 6077, 3, 0, 0x9ad0c1b1d2561aaeULL},
+    {"sn74181", 248, 485, 6035, 0, 0, 0x236a833408bb9b67ULL},
+    {"counter8", 64, 185, 1262, 1, 2, 0x4673482927282f54ULL},
+    {"accum4", 92, 42, 600, 3, 4, 0xd9f458133661a675ULL},
+    {"mixed1", 262, 316, 4586, 4, 41, 0x67030dcfd3f9b320ULL},
+    {"mixed2", 398, 795, 11326, 1, 57, 0xd54507db869e113eULL},
+    {"mixed3", 264, 282, 4264, 0, 36, 0x35711c439973e1a9ULL},
+    {"mixed4", 354, 497, 7228, 8, 69, 0x3179e2192f73ad92ULL},
+    {"mixed5", 474, 1170, 18106, 11, 76, 0xa6ec6d3b5f1dec08ULL},
+    {"mixed6", 400, 1437, 20128, 2, 49, 0x90fd7aba1f673c04ULL},
+    {"mixed7", 228, 283, 4356, 3, 32, 0xdfe70da75c6c76abULL},
+    {"mixed8", 204, 331, 4653, 19, 29, 0x3c6aac03bd60e385ULL},
+    {"mixed9", 532, 882, 15184, 5, 60, 0xb59f2aa76f0135a0ULL},
+    {"mixed10", 284, 407, 5781, 12, 24, 0xaee4c9725422fbbaULL},
+    {"mixed11", 388, 1080, 13053, 3, 64, 0xdf67527e4cd58ff2ULL},
+    {"mixed12", 314, 347, 5801, 10, 40, 0x811a66c94ed4be94ULL},
+    {"mixed13", 204, 264, 4000, 0, 25, 0x64330529b07fa861ULL},
+    {"mixed14", 450, 722, 10217, 6, 54, 0x17fd33665c5c1d91ULL},
+    {"mixed15", 432, 431, 7914, 10, 42, 0xdc10460d62983e07ULL},
+    {"mixed16", 238, 803, 10698, 16, 36, 0x861b236ab87551bdULL},
+    {"mixed17", 212, 595, 7591, 9, 36, 0x84d1ce4461954fcdULL},
+    {"mixed18", 340, 696, 8606, 10, 49, 0xf6a3ec373d9193ffULL},
+    {"mixed19", 226, 201, 3465, 3, 33, 0xaf39cf9e6d26bed8ULL},
+    {"mixed20", 268, 482, 6528, 4, 48, 0xe8f428e7954a4295ULL},
+    {"mixed21", 350, 309, 5469, 21, 59, 0x4e6880bfccd4186bULL},
+    {"mixed22", 440, 517, 8332, 14, 70, 0x77fe128ec88b721bULL},
+    {"mixed23", 280, 152, 3000, 4, 38, 0xe07103feb04c1865ULL},
+    {"mixed24", 358, 748, 11234, 11, 72, 0xb805ef109a899767ULL},
+    {"mixed25", 362, 397, 6467, 6, 52, 0x4ce7ec1236677e7eULL},
+    {"mixed26", 376, 638, 7984, 12, 56, 0xfd8ff2768b27e8a3ULL},
+    {"mixed27", 286, 448, 6896, 3, 34, 0xfc8f404d4dbbc110ULL},
+    {"mixed28", 338, 1044, 14709, 6, 37, 0xdbfa15ac2da17e84ULL},
+    {"mixed29", 486, 910, 11897, 6, 64, 0x49f566dd361e5a4eULL},
+    {"mixed30", 486, 1199, 16079, 13, 75, 0xfb9fab6ce061947cULL},
+};
+
+TEST(StaPinned, EveryCircuitAnalyzesExactlyAsRecorded) {
+  const auto corpus = pinned_corpus();
+  ASSERT_EQ(corpus.size(), std::size(kPinned));
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const PinnedAnalysis got = analyze(corpus[i].first, corpus[i].second);
+    EXPECT_TRUE(got == kPinned[i]) << "recorded " << row(kPinned[i]) << "\n"
+                                   << "     got " << row(got);
+  }
 }
 
 }  // namespace

@@ -9,11 +9,13 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -312,6 +314,37 @@ int task_count() {
   }
   return n;
 }
+
+// task_count() once it reads `want`, or the last count after 5 s. The
+// kernel removes a thread's /proc/self/task entry after it has woken the
+// joiner, so a count taken just after a pool joins its threads may still
+// see some of them.
+int task_count_reaching(int want) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  int n = task_count();
+  while (n != want && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    n = task_count();
+  }
+  return n;
+}
+
+// A thread that idles until destroyed. Starting one before a base count
+// makes a thread sanitizer start its own background thread first, and it
+// is not joined before the count, so no just-joined thread inflates it.
+struct IdleThread {
+  IdleThread() = default;
+  IdleThread(const IdleThread&) = delete;
+  IdleThread& operator=(const IdleThread&) = delete;
+  ~IdleThread() {
+    stop.set_value();
+    thread.join();
+  }
+
+  std::promise<void> stop;
+  std::thread thread{[done = stop.get_future()] { done.wait(); }};
+};
 #endif
 
 // The caller is worker 0, so the pool starts one OS thread fewer than the
@@ -319,18 +352,16 @@ int task_count() {
 TEST(ThreadedFaultSim, PoolStartsOneThreadFewerThanWorkers) {
 #if defined(__linux__)
   const Netlist nl = make_c17();
-  // A thread sanitizer starts a background thread of its own at the
-  // process's first thread creation; make that happen before the count.
-  std::thread([] {}).join();
+  const IdleThread idle;
   const int base = task_count();
   if (base < 0) GTEST_SKIP() << "/proc/self/task is not readable";
   for (int threads : {1, 2, 4}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
     ParallelFaultSimulator sim(nl, threads);
     EXPECT_EQ(sim.threads(), threads);
-    EXPECT_EQ(task_count() - base, threads - 1);
+    EXPECT_EQ(task_count_reaching(base + threads - 1) - base, threads - 1);
   }
-  EXPECT_EQ(task_count(), base);
+  EXPECT_EQ(task_count_reaching(base), base);
 #else
   GTEST_SKIP() << "counts threads through /proc/self/task (Linux only)";
 #endif
@@ -1080,7 +1111,7 @@ TEST(AutoLane, BuildsTheWideEngineOnFirstUse) {
   const auto faults = collapse_faults(nl).representatives;
   const auto pats = patterns_for(nl, 65, 8);
   const std::vector<SourceVector> head(pats.begin(), pats.begin() + 64);
-  std::thread([] {}).join();  // see PoolStartsOneThreadFewerThanWorkers
+  const IdleThread idle;  // see PoolStartsOneThreadFewerThanWorkers
   const int base = task_count();
   if (base < 0) GTEST_SKIP() << "/proc/self/task is not readable";
   constexpr int kThreads = 4;
