@@ -6,26 +6,27 @@
 //    faulty-machine simulation per (pattern, fault) pair. "Fault simulation,
 //    with respect to run time, is similar to doing 3001 good machine
 //    simulations."
-//  * BasicParallelFaultSimulator<EB>(nl, threads) -- parallel-pattern
-//    single-fault propagation (PPSFP), the one fast engine at every thread
-//    count: one pattern word (64 bits classic, 256/512 on the widened SIMD
-//    lanes -- sim/eval_backend.h) per block with fault dropping. Faults are
+//  * PpsfpFaultSimulator -- parallel-pattern single-fault propagation
+//    (PPSFP), the one fast engine at every thread count and lane: one
+//    pattern word (64 bits classic, 256/512 on the widened SIMD lanes --
+//    sim/eval_backend.h) per block with fault dropping. Faults are
 //    simulated by stem region (Lee and Ha, ITC 1991): a gate with one
 //    combinational fanout that is not observed belongs to the fanout-free
 //    region of that fanout; every other gate is a stem heading its own
 //    region. Per block the good machine (sim/parallel_sim.h) is evaluated
-//    once and shared, then the workers steal regions. A region is traced backwards from its stem
-//    (critical path tracing, Abramovici, Menon and Miller, IEEE D&T 1984),
-//    which gives each gate the patterns in which flipping it flips the
-//    stem, and the stem is propagated once by the compiled-netlist
-//    event-driven selective trace (sim/event_sim.h) in the patterns where
-//    some live fault of the region reaches it. A fault's detect word is its
-//    activation AND its sensitization to the stem AND the stem's
-//    observability -- exact per bit, since each bit is one single-fault
-//    machine and a region is a tree. Results and work counts are the same
+//    once and shared, then the workers steal regions. A region is traced
+//    backwards from its stem (critical path tracing, Abramovici, Menon and
+//    Miller, IEEE D&T 1984), which gives each gate the patterns in which
+//    flipping it flips the stem, and the stem is propagated once by the
+//    compiled-netlist event-driven selective trace (sim/event_sim.h) in the
+//    patterns where some live fault of the region reaches it. A fault's
+//    detect word is its activation AND its sensitization to the stem AND
+//    the stem's observability -- exact per bit, since each bit is one
+//    single-fault machine and a region is a tree. Results and work counts are the same
 //    at every thread count and word width. The engine reads only its
 //    CompiledNetlist, so it outlives the netlist it was compiled from.
-//    `ParallelFaultSimulator` names the classic 64-bit instantiation.
+//    BasicParallelFaultSimulator<EB>(nl, threads) pins backend EB for every
+//    block, and `ParallelFaultSimulator` names the classic 64-bit one.
 //  * DeductiveFaultSimulator (deductive.h) -- Armstrong-style fault-list
 //    propagation, the independent cross-check.
 //
@@ -36,6 +37,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -54,6 +56,7 @@
 #include "sim/eval_backend.h"
 #include "sim/event_sim.h"
 #include "sim/parallel_sim.h"
+#include "sim/simd.h"
 #include "sim/thread_pool.h"
 
 namespace dft {
@@ -138,21 +141,6 @@ class FaultSimEngine {
   void set_progress_phase(std::string phase) {
     progress_phase_ = std::move(phase);
   }
-  const std::string& progress_phase() const { return progress_phase_; }
-
-  // Places this engine's runs after a finished prefix of a larger run: the
-  // progress it emits adds the prefix's patterns and blocks to its own, and
-  // counts the prefix's detected faults, which the run is not given, in
-  // both its detections and its fault total. The auto-lane engine
-  // (fault/threaded_fault_sim.h) sets it on the engine grading its tail.
-  struct ProgressPrefix {
-    std::uint64_t patterns = 0;
-    int detected = 0;
-    std::uint64_t blocks = 0;
-  };
-  void set_progress_prefix(ProgressPrefix prefix) {
-    progress_prefix_ = prefix;
-  }
 
  protected:
   bool progress_on() const {
@@ -166,7 +154,6 @@ class FaultSimEngine {
 
  private:
   std::string progress_phase_;
-  ProgressPrefix progress_prefix_;
 };
 
 // Records the fault_sim.coverage.final_pct obs value (100 * detected /
@@ -213,19 +200,84 @@ class SerialFaultSimulator : public FaultSimEngine {
   CombSim bad_;  // a copy of good_: one compiled program for both
 };
 
-template <typename EB>
-class BasicParallelFaultSimulator : public FaultSimEngine {
- public:
-  using Word = typename EB::Word;
-  using Traits = WordTraits<Word>;
+namespace ppsfp {
 
-  // `threads` workers (0 = one per hardware thread). The good machine and
-  // every worker's machine read one immutable snapshot and the one
-  // observation-point set. Worker 0 is the calling thread, so the pool
-  // holds threads() - 1 OS threads and none at one thread.
-  explicit BasicParallelFaultSimulator(const Netlist& nl, int threads = 1);
-  explicit BasicParallelFaultSimulator(
-      std::shared_ptr<const CompiledNetlist> cn, int threads = 1);
+// The fanout-free regions of the netlist under the current observation
+// points. A gate is a member of its fanout's region when it has exactly
+// one fanout entry, that fanout is combinational and the gate is not
+// observed; every other gate is a stem and heads a region of its own.
+// Each region is a tree rooted at its stem.
+struct Regions {
+  std::vector<std::uint32_t> region_of;  // per gate
+  // Per gate: its index within its region (the stem is 0), which
+  // addresses the per-worker sensitization words.
+  std::vector<std::uint32_t> local_of;
+  // Per member: the gate it feeds and the pin; kNoGate for a stem.
+  std::vector<GateId> sink_of;
+  std::vector<std::int32_t> pin_of;
+  std::vector<GateId> stem;  // per region
+  std::uint32_t widest = 0;  // gates in the largest region
+};
+
+// What the workers of one block read. The run's faults are grouped by
+// region: order[fault_begin[r], fault_begin[r+1]), ascending within a
+// region, and the workers steal the regions of `busy`.
+struct Block {
+  const Regions& regions;
+  const std::vector<char>& observed;
+  const std::vector<Fault>& faults;
+  const std::vector<std::uint32_t>& order;
+  const std::vector<std::uint32_t>& fault_begin;
+  bool drop_detected;
+  int* first;  // first_detected_by, written by one worker per region
+  std::span<const std::uint32_t> busy;
+  std::size_t base = 0;   // the block grades patterns[base, base + count)
+  std::size_t count = 0;
+};
+
+// One lane's machines: the good machine at the lane's word width and one
+// faulty machine per worker. The engine calls it once per block, and once
+// per worker within a block, never per region.
+class MachineSet {
+ public:
+  virtual ~MachineSet() = default;
+  virtual int bits() const = 0;
+  // Zeroes the tallies and sizes the buffers, so workers allocate nothing.
+  virtual void begin_run(const Regions& regions, std::size_t most_faults) = 0;
+  // Packs patterns[base, base + count) into the good machine's source
+  // words and evaluates it.
+  virtual void load_block(const std::vector<SourceVector>& patterns,
+                          std::size_t base, std::size_t count) = 0;
+  // Worker w copies the good machine into its faulty machine and steals
+  // block.busy regions through `next`; returns the detections it wrote.
+  virtual std::size_t steal(int w, const Block& block,
+                            std::atomic<std::size_t>& next) = 0;
+  // Flushes the good machine's sim.parallel.* tally and, when obs is on,
+  // adds the workers' work counts since begin_run.
+  virtual void end_run() = 0;
+};
+
+template <typename EB>
+class BasicMachineSet;  // fault/fault_sim_impl.h
+
+// The machines of `lane` (an unsupported ISA degrades to the same-width
+// scalar lane); defined with the wide instantiations in simd_lanes.cpp.
+std::unique_ptr<MachineSet> make_machine_set(
+    simd::Lane lane, std::shared_ptr<const CompiledNetlist> cn, int workers);
+
+}  // namespace ppsfp
+
+// The PPSFP engine. It holds what every lane shares: the compiled
+// snapshot, the observation points, the stem-region table and the thread
+// pool. `threads` workers (0 = one per hardware thread); worker 0 is the
+// calling thread, so the pool holds threads() - 1 OS threads and none at
+// one thread. The lane's machines are the only per-lane state.
+class PpsfpFaultSimulator : public FaultSimEngine {
+ public:
+  // The DFT_SIMD=auto engine (fault/threaded_fault_sim.h): block 0 of a
+  // dropping run at 64 bits, every other block at `lane`.
+  PpsfpFaultSimulator(std::shared_ptr<const CompiledNetlist> cn, int threads,
+                      simd::Lane lane);
 
   // Patterns must be binary (use random_fill for X entries). A fault whose
   // gate or pin is not in the netlist throws std::out_of_range before any
@@ -236,9 +288,12 @@ class BasicParallelFaultSimulator : public FaultSimEngine {
                      const guard::Budget* budget = nullptr) override;
 
   std::string_view name() const override { return "event"; }
-  int pattern_word_bits() const override { return Traits::kBits; }
+  // Every block's width but a 64-bit first block of the auto engine.
+  int pattern_word_bits() const override {
+    return lane_machines_ ? lane_machines_->bits() : simd::lane_bits(lane_);
+  }
 
-  int threads() const { return static_cast<int>(machines_.size()); }
+  int threads() const { return threads_; }
 
   // Overrides the observation points and rebuilds the stem regions they
   // bound. The default is the full-scan view (primary outputs + every
@@ -248,102 +303,50 @@ class BasicParallelFaultSimulator : public FaultSimEngine {
   void set_observation_points(const std::vector<GateId>& observed);
   void reset_observation_points();
 
+ protected:
+  // One lane, `machines`, grades every block (null: the auto engine).
+  PpsfpFaultSimulator(std::shared_ptr<const CompiledNetlist> cn, int threads,
+                      std::unique_ptr<ppsfp::MachineSet> machines);
+
  private:
-  // The fanout-free regions of the netlist under the current observation
-  // points. A gate is a member of its fanout's region when it has exactly
-  // one fanout entry, that fanout is combinational and the gate is not
-  // observed; every other gate is a stem and heads a region of its own.
-  // Each region is a tree rooted at its stem.
-  struct Regions {
-    std::vector<std::uint32_t> region_of;  // per gate
-    // Per gate: its index within its region (the stem is 0), which
-    // addresses the per-worker sensitization words.
-    std::vector<std::uint32_t> local_of;
-    // Per member: the gate it feeds and the pin; kNoGate for a stem.
-    std::vector<GateId> sink_of;
-    std::vector<std::int32_t> pin_of;
-    std::vector<GateId> stem;  // per region
-    std::uint32_t widest = 0;  // gates in the largest region
-  };
-
-  // One worker's tallies, summed into dft::obs once per run -- nothing per
-  // fault touches shared state.
-  struct Tallies {
-    std::uint64_t gates_evaluated = 0;
-    std::uint64_t faults_simulated = 0;
-    std::uint64_t stems_propagated = 0;
-    // eval_with_forced_pin calls by sensitization() and reach(): the
-    // critical-path-tracing work, which gates_evaluated does not count.
-    std::uint64_t trace_evals = 0;
-    // Regions this worker stole, summed over the run's blocks.
-    std::uint64_t regions = 0;
-    // death_depth[d] = regions whose stem difference died d levels past
-    // the stem (last bucket collects >= kDeathDepthBuckets-1; bucket 0 also
-    // holds regions none of whose live faults reached the stem).
-    static constexpr int kDeathDepthBuckets = 16;
-    std::array<std::uint64_t, kDeathDepthBuckets> death_depth{};
-  };
-
-  // One worker's private machine and region workspace. Aligned so two
-  // workers' tallies never share a cache line.
-  struct alignas(64) Machine {
-    explicit Machine(std::shared_ptr<const CompiledNetlist> cn)
-        : ev(std::move(cn)) {}
-    BasicEventSim<EB> ev;
-    Tallies tallies;
-    // events_scheduled() when the current run started.
-    std::uint64_t events_mark = 0;
-    // Sensitization to the stem by local index, valid where sens_stamp
-    // equals epoch (one epoch per region visit).
-    std::vector<Word> sens;
-    std::vector<std::uint32_t> sens_stamp;
-    std::uint32_t epoch = 0;
-    std::vector<GateId> path;
-    // The live faults of the current region whose effect reaches the stem.
-    std::vector<std::uint32_t> reaching;
-  };
-
-  static Regions build_regions(const CompiledNetlist& cn,
-                               const std::vector<char>& observed);
-  // Patterns in which flipping gate g flips its region's stem; traces (and
-  // memoizes for the current region visit) the path from g to the stem.
-  Word sensitization(Machine& m, GateId g) const;
-  // Patterns of the block in which fault f (not a storage D-pin fault)
-  // flips its region's stem: activation AND sensitization.
-  Word reach(Machine& m, const Fault& f, const Word& valid) const;
-  // Simulates the live faults among faults[ids] of one region against the
-  // loaded block, writing first detections; returns how many it found.
-  std::size_t simulate_region(Machine& m, std::uint32_t region,
-                              const std::vector<Fault>& faults,
-                              std::span<const std::uint32_t> ids,
-                              bool drop_detected, const Word& valid,
-                              std::size_t base, int* first) const;
-  // Packs patterns[base, base + count) into the shared good machine's
-  // source words and evaluates it.
-  void load_block(const std::vector<SourceVector>& patterns, std::size_t base,
-                  std::size_t count);
-  void record_run_obs(const FaultSimResult& res, bool drop_detected,
-                      std::uint64_t blocks, int workers);
-
   std::shared_ptr<const CompiledNetlist> cn_;
   std::vector<char> observed_;
-  Regions regions_;
-  BasicParallelSim<EB> good_;  // sim.parallel.* flushed per run
-  std::vector<Machine> machines_;
+  ppsfp::Regions regions_;
+  int threads_ = 1;
   // Workers a run may start: threads(), capped at the host's hardware
   // threads -- a pool wider than the hardware only adds time-slicing and
   // cache churn between per-worker machine states, never throughput.
   int max_workers_ = 1;
   std::unique_ptr<ThreadPool> pool_;  // threads() - 1 workers; null at 1
+  // The auto engine's 64-bit machines for block 0; null on a pinned lane.
+  std::unique_ptr<ppsfp::MachineSet> head_;
+  // The machines of every other block: built with the engine on a pinned
+  // lane, on first use (as lane_) under auto.
+  std::unique_ptr<ppsfp::MachineSet> lane_machines_;
+  simd::Lane lane_ = simd::Lane::Off;
+};
+
+// The engine pinned to backend EB for every block (64 bits classic,
+// 256/512 on the widened SIMD lanes -- sim/eval_backend.h).
+template <typename EB>
+class BasicParallelFaultSimulator : public PpsfpFaultSimulator {
+ public:
+  using Traits = WordTraits<typename EB::Word>;
+
+  explicit BasicParallelFaultSimulator(const Netlist& nl, int threads = 1)
+      : BasicParallelFaultSimulator(
+            std::make_shared<const CompiledNetlist>(nl), threads) {}
+  explicit BasicParallelFaultSimulator(
+      std::shared_ptr<const CompiledNetlist> cn, int threads = 1)
+      : PpsfpFaultSimulator(
+            cn, threads,
+            std::make_unique<ppsfp::BasicMachineSet<EB>>(
+                cn, resolve_thread_count(threads))) {}
 };
 
 // The classic 64-pattern PPSFP engine every existing consumer names.
 using ParallelFaultSimulator =
     BasicParallelFaultSimulator<ScalarEval<std::uint64_t>>;
-
-// The 64-bit instantiation lives in fault_sim.cpp; the wide lanes are
-// instantiated in fault/simd_lanes.cpp (and by tests that name a backend).
-extern template class BasicParallelFaultSimulator<ScalarEval<std::uint64_t>>;
 
 }  // namespace dft
 

@@ -1,47 +1,27 @@
-// Fault-simulation engine factories.
+// Fault-simulation engine factories. They pick the engine by name, the
+// pattern-word lane by the DFT_SIMD policy (or an explicit simd::Lane), and
+// pass the thread count through to the one PPSFP engine
+// (PpsfpFaultSimulator, fault/fault_sim.h).
 //
-// The survey's Eq. 1 (T = K*N^3) makes fault simulation the inner-loop cost
-// of everything downstream -- ATPG dropping, random-TPG grading, BIST
-// coverage measurement -- and Sec. I-B prices it at about "3001 good
-// machine simulations". The good machine is shared work; propagating
-// fault effects is the parallel work. One PPSFP engine,
-// BasicParallelFaultSimulator<EB>(nl, threads) in fault/fault_sim.h, does
-// both at every thread count with one schedule: blocks in order, the good
-// machine evaluated once per block, then the workers stealing fanout-free
-// stem regions, each region traced back from its stem and its stem
-// propagated once for all of its faults. Its result and its work counts do
-// not depend on the thread count.
-//
-// The factories below pick the engine by name, the pattern-word lane by
-// the DFT_SIMD policy (or an explicit simd::Lane), and pass the thread
-// count through.
-//
-// Under DFT_SIMD=auto (the shipped default) the policy-following
-// factories return an engine that uses two lanes. The toolkit grades with
-// fault dropping, so most faults fall to the first few patterns, and a
-// wide word would carry every one of them through up to 8x the patterns
-// the 64-bit word needs; yet the hard tail of a long run spreads its
-// per-fault tracing over the wider word. So a dropping run grades its
-// first 64 patterns on the 64-bit engine and hands only the faults still
-// undetected, with the remaining patterns, to the resolved (widest) lane,
-// whose engine is built on first use from the head's CompiledNetlist (the
-// netlist may be gone by then); the tail's pattern indices are
-// shifted back by 64 on merge. Runs of at most 64 patterns never leave
-// the 64-bit engine, and longer runs without dropping keep the widest
-// lane. The result is the one-lane result; a budget partial is a pattern
-// prefix (the head charges 64 patterns, the tail the rest); progress
-// counts the whole run over the whole fault list;
-// fault_sim.coverage.final_pct is recorded last, from the merged result;
-// and fault_sim.auto.tail_faults sums the faults handed to the tail. An
-// explicit DFT_SIMD value, or the lane-pinning overloads, keep one lane
-// for the whole run.
+// Under DFT_SIMD=auto (the shipped default) the lane is a per-block
+// choice. With fault dropping most faults fall to the first few patterns,
+// where a wide word would carry each of them through up to 8x the patterns
+// the 64-bit word needs, while the hard tail of a long run spreads its
+// per-fault tracing over the wider word. So a dropping run grades block 0,
+// its first 64 patterns, at 64 bits and every later block at the resolved
+// (widest) lane; a run of at most 64 patterns is one 64-bit block, and a
+// longer run without dropping uses the widest lane throughout. It is one
+// run over one region table and one pool, so a budget partial is a
+// pattern prefix and progress emits one event per block;
+// fault_sim.auto.tail_faults sums the faults still undetected at the
+// switch. An explicit DFT_SIMD value, or the lane-pinning overloads, keep
+// one lane for the whole run.
 #pragma once
 
 #include <memory>
 #include <string_view>
 
 #include "fault/fault_sim.h"
-#include "netlist/compiled.h"
 #include "netlist/netlist.h"
 #include "sim/simd.h"
 
@@ -52,8 +32,8 @@ namespace dft {
 // threads < 1 throws std::invalid_argument -- callers resolve "one per
 // core" themselves via resolve_thread_count(0) rather than passing 0
 // through. The engine's pattern-word lane comes from simd::resolve_lane()
-// (the DFT_SIMD policy; under auto, the 64-bit head plus that lane as
-// above); the four-argument overload pins one lane explicitly.
+// (the DFT_SIMD policy; under auto, a 64-bit block 0 and that lane after,
+// as above); the four-argument overload pins one lane explicitly.
 std::unique_ptr<FaultSimEngine> make_fault_sim_engine(const Netlist& nl,
                                                       int threads = 1);
 std::unique_ptr<FaultSimEngine> make_fault_sim_engine(Netlist&&,
@@ -71,10 +51,6 @@ std::unique_ptr<FaultSimEngine> make_fault_sim_engine(const Netlist& nl,
 std::unique_ptr<FaultSimEngine> make_fault_sim_engine(Netlist&&, int,
                                                       FaultSimKernel,
                                                       simd::Lane) = delete;
-// The same engine on a snapshot the caller may share (the auto engine's two
-// lanes share one).
-std::unique_ptr<FaultSimEngine> make_fault_sim_engine(
-    std::shared_ptr<const CompiledNetlist> cn, int threads, simd::Lane lane);
 
 // Name-based factory behind dft_tool's --engine flag and the options
 // structs: "event" (the default; also ""), "serial", "deductive". "event"

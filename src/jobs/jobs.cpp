@@ -1,6 +1,7 @@
 #include "jobs/jobs.h"
 
 #include <charconv>
+#include <chrono>
 #include <climits>
 #include <type_traits>
 #include <utility>
@@ -115,26 +116,51 @@ CompiledCircuit::AnalyzerSlot::load() const {
 }
 
 std::shared_ptr<const sta::StaticAnalyzer>
-CompiledCircuit::AnalyzerSlot::store_if_empty(
-    std::shared_ptr<const sta::StaticAnalyzer> a) const {
+CompiledCircuit::AnalyzerSlot::wait_or_claim(const guard::Budget& budget,
+                                             bool& claimed) const {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (ptr_ == nullptr && building_ &&
+         budget.poll() == guard::RunStatus::Completed) {
+    cv_.wait_for(lock, std::chrono::milliseconds(1));
+  }
+  claimed = ptr_ == nullptr && !building_;
+  if (claimed) building_ = true;
+  return ptr_;
+}
+
+std::shared_ptr<const sta::StaticAnalyzer>
+CompiledCircuit::AnalyzerSlot::finish(
+    std::shared_ptr<const sta::StaticAnalyzer> a, bool claimed) const {
   std::lock_guard<std::mutex> lock(mu_);
+  if (claimed) building_ = false;
+  cv_.notify_all();
+  if (a == nullptr || a->stats().status != guard::RunStatus::Completed) {
+    return a;
+  }
   if (ptr_ == nullptr) ptr_ = std::move(a);
   return ptr_;
 }
 
 std::shared_ptr<const sta::StaticAnalyzer> CompiledCircuit::analyzer(
     const guard::Budget& budget) const {
-  if (auto stored = analyzer_slot.load()) {
+  bool claimed = false;
+  if (auto stored = analyzer_slot.wait_or_claim(budget, claimed)) {
     count("jobs.sta_analyzer.reused");
     return stored;
   }
   sta::StaOptions opt;
   opt.budget = budget;
-  auto built = std::make_shared<const sta::StaticAnalyzer>(netlist, opt);
-  if (built->stats().status != guard::RunStatus::Completed) return built;
-  count("jobs.sta_analyzer.built");
-  // A racing build may have been stored first; ours is equal to it.
-  return analyzer_slot.store_if_empty(std::move(built));
+  std::shared_ptr<const sta::StaticAnalyzer> built;
+  try {
+    built = std::make_shared<const sta::StaticAnalyzer>(netlist, opt);
+  } catch (...) {
+    analyzer_slot.finish(nullptr, claimed);
+    throw;
+  }
+  if (built->stats().status == guard::RunStatus::Completed) {
+    count("jobs.sta_analyzer.built");
+  }
+  return analyzer_slot.finish(std::move(built), claimed);
 }
 
 guard::Budget make_budget(long long deadline_ms,

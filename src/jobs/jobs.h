@@ -5,6 +5,7 @@
 // below, which names and bounds every option, and render the result.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -88,19 +89,19 @@ struct CompiledCircuit {
   // The learned sta analysis of `netlist` at default StaOptions, built on
   // first use and then shared read-only by every job on this circuit. A
   // call finding one stored returns it (counted jobs.sta_analyzer.reused),
-  // whatever its own budget. Otherwise it builds one under `budget`; a
-  // complete analysis is stored (jobs.sta_analyzer.built), a deadline-
-  // expired or cancelled one is returned to this caller only. No lock is
-  // held while building, so racing first calls each build and one complete
-  // result is kept. Throws like StaticAnalyzer on a combinational cycle.
+  // whatever its own budget; one finding another job's build in flight
+  // waits for it while its own budget lasts. Otherwise it builds one under
+  // `budget`; a complete analysis is stored (jobs.sta_analyzer.built), a
+  // deadline-expired or cancelled one is returned to this caller only.
+  // Throws like StaticAnalyzer on a combinational cycle.
   std::shared_ptr<const sta::StaticAnalyzer> analyzer(
       const guard::Budget& budget) const;
 
-  // The slot analyzer() fills. Its mutex guards only the pointer copy,
-  // never a build. (libstdc++ 12's atomic<shared_ptr>::load releases its
-  // lock bit relaxed, a race ThreadSanitizer reports against a concurrent
-  // compare-exchange.) A copied, moved or assigned-to circuit starts with
-  // an empty slot.
+  // The slot analyzer() fills. Its mutex guards the pointer and the
+  // in-flight mark, never a build. (libstdc++ 12's atomic<shared_ptr>::load
+  // releases its lock bit relaxed, a race ThreadSanitizer reports against a
+  // concurrent compare-exchange.) A copied, moved or assigned-to circuit
+  // starts with an empty slot.
   class AnalyzerSlot {
    public:
     AnalyzerSlot() = default;
@@ -110,12 +111,19 @@ struct CompiledCircuit {
       return *this;
     }
     std::shared_ptr<const sta::StaticAnalyzer> load() const;
-    // Stores `a` unless the slot already holds one; returns what it holds.
-    std::shared_ptr<const sta::StaticAnalyzer> store_if_empty(
-        std::shared_ptr<const sta::StaticAnalyzer> a) const;
+    // The stored analyzer, once no build is in flight or `budget` runs
+    // out; null when the caller is to build, `claimed` when in flight.
+    std::shared_ptr<const sta::StaticAnalyzer> wait_or_claim(
+        const guard::Budget& budget, bool& claimed) const;
+    // Ends the caller's build (null `a`: it threw) and returns what the
+    // slot holds after storing a complete `a`, or else `a`.
+    std::shared_ptr<const sta::StaticAnalyzer> finish(
+        std::shared_ptr<const sta::StaticAnalyzer> a, bool claimed) const;
 
    private:
     mutable std::mutex mu_;
+    mutable std::condition_variable cv_;
+    mutable bool building_ = false;  // a claimed build is in flight
     mutable std::shared_ptr<const sta::StaticAnalyzer> ptr_;
   };
   AnalyzerSlot analyzer_slot;

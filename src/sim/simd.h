@@ -16,12 +16,12 @@
 // else the build-time DFT_SIMD_DEFAULT (CMake -DDFT_SIMD=..., default
 // "auto"), where "auto" resolves to the widest lane this CPU supports via
 // CPUID (avx512 > avx2 > scalar4). Under "auto" the policy-following
-// engine factories (fault/threaded_fault_sim.h) do not run that lane
-// alone: with fault dropping most faults fall to the first patterns, where
-// a wide word carries every fault through patterns the 64-bit word does
-// not need, so a dropping run grades its first 64 patterns at 64 bits and
-// only the surviving faults at the resolved lane. An explicit value pins
-// one lane for the whole run. Forcing an ISA the host lacks (or that this
+// engine factories (fault/threaded_fault_sim.h) make the lane a per-block
+// choice: with fault dropping most faults fall to the first patterns,
+// where a wide word carries every fault through patterns the 64-bit word
+// does not need, so a dropping run grades its first block, 64 patterns,
+// at 64 bits and every later block at the resolved lane. An explicit value
+// pins one lane for the whole run. Forcing an ISA the host lacks (or that this
 // build could not compile) degrades to the same-width scalar lane, never to
 // a crash: the intrinsic backends are compiled per-function with GCC/Clang
 // target attributes, so no ISA flags leak into the rest of the build and a
@@ -64,7 +64,8 @@ bool host_supports(Lane lane);
 std::vector<Lane> available_lanes();
 
 // Applies the DFT_SIMD env / DFT_SIMD_DEFAULT policy above and returns the
-// lane the engine factories use (under "auto", the lane of a run's tail).
+// lane the engine factories use (under "auto", the lane of every block but
+// a dropping run's first).
 // Re-reads the environment on every call (engine construction is rare);
 // unsupported forced ISAs degrade to the same-width scalar lane.
 Lane resolve_lane();

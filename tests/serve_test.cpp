@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "fault/deductive.h"
 #include "fault/fault.h"
 #include "fault/fault_sim.h"
 #include "fx/fx.h"
@@ -436,8 +437,8 @@ TEST(ServeServer, DeadlineExpiredAtpgPartialVerifiesAgainstSerialEngine) {
   EXPECT_GT(result_number(doc, "remaining"), 0);
   ASSERT_TRUE(doc.find("result")->find("resumable")->as_bool());
 
-  // Decode the shipped vectors and replay them on the serial simulator
-  // over the same collapsed fault list the server used.
+  // Decode the shipped vectors and replay them over the same collapsed
+  // fault list the server used.
   const obs::Json* vectors = doc.find("result")->find("vectors");
   ASSERT_NE(vectors, nullptr);
   const Netlist nl = builtin_circuit("rand2k");
@@ -453,31 +454,42 @@ TEST(ServeServer, DeadlineExpiredAtpgPartialVerifiesAgainstSerialEngine) {
     tests.push_back(std::move(sv));
   }
   ASSERT_EQ(tests.size(), static_cast<std::size_t>(result_number(doc, "tests")));
-  // Serial detection is independent per fault, so the replay runs disjoint
-  // contiguous slices of the fault list on up to four threads, each with
-  // its own simulator, and sums their detections.
+  // The deductive simulator, which shares no code with the PPSFP engine
+  // the server graded with, replays every fault.
   const std::vector<Fault>& faults = col.representatives;
+  const FaultSimResult replay = DeductiveFaultSimulator(nl).run(tests, faults);
+  EXPECT_EQ(replay.num_detected,
+            static_cast<int>(result_number(doc, "detected")))
+      << "partial's detected claim must replay on the deductive engine";
+  // The serial simulator, the textbook oracle, agrees with that replay
+  // fault by fault on every 16th fault. Serial detection is independent
+  // per fault, so the sample runs in disjoint contiguous slices on up to
+  // four threads, each with its own simulator.
+  std::vector<Fault> sample;
+  std::vector<int> want;
+  for (std::size_t i = 0; i < faults.size(); i += 16) {
+    sample.push_back(faults[i]);
+    want.push_back(replay.first_detected_by[i]);
+  }
   const std::size_t shards =
       std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, 4);
-  std::vector<int> detected_in(shards, 0);
+  std::vector<int> got(sample.size(), -1);
   std::vector<std::thread> workers;
   for (std::size_t k = 0; k < shards; ++k) {
     workers.emplace_back([&, k] {
-      const auto from = faults.begin() + faults.size() * k / shards;
-      const auto to = faults.begin() + faults.size() * (k + 1) / shards;
+      const std::size_t from = sample.size() * k / shards;
+      const std::size_t to = sample.size() * (k + 1) / shards;
       SerialFaultSimulator sim(nl);
-      const FaultSimResult graded =
-          sim.run(tests, std::vector<Fault>(from, to));
-      for (int first : graded.first_detected_by) {
-        detected_in[k] += first >= 0 ? 1 : 0;
-      }
+      const std::vector<Fault> slice(sample.begin() + from,
+                                     sample.begin() + to);
+      const FaultSimResult graded = sim.run(tests, slice);
+      std::copy(graded.first_detected_by.begin(),
+                graded.first_detected_by.end(), got.begin() + from);
     });
   }
   for (std::thread& t : workers) t.join();
-  const int detected =
-      std::accumulate(detected_in.begin(), detected_in.end(), 0);
-  EXPECT_EQ(detected, static_cast<int>(result_number(doc, "detected")))
-      << "partial's detected claim must replay on the serial engine";
+  EXPECT_EQ(got, want) << "the serial engine disagrees with the deductive "
+                          "replay on the sampled faults";
 }
 
 TEST(ServeServer, ResumeContinuesARetainedPartial) {
@@ -688,6 +700,63 @@ TEST(ServeServer, ConcurrentLintAndStaOnOneCachedCircuit) {
   EXPECT_GE(built, 1u);
   EXPECT_LE(built, 4u);
   EXPECT_EQ(built + reused, 4u * kRounds);
+  expect_accounted(server);
+}
+
+// Two workers take rand2k's lint and sta together while its analyzer slot
+// is empty: one job builds the analysis and the other waits for that build
+// instead of starting its own. Each answer's result is byte-equal to the
+// one a direct call renders.
+TEST(ServeServer, ConcurrentFirstUsesWaitForOneAnalyzerBuild) {
+  const Netlist nl = builtin_circuit("rand2k");
+  const LintReport lint = lint_netlist(nl);
+  const sta::StaticAnalyzer fresh(nl);
+  const CollapseResult col = collapse_faults(nl);
+  const std::string lint_result =
+      obs::JsonWriter()
+          .begin_object()
+          .int_field("errors", lint.errors())
+          .int_field("warnings", lint.warnings())
+          .int_field("diagnostics",
+                     static_cast<long long>(lint.diagnostics.size()))
+          .bool_field("passed", lint.passed())
+          .end_object()
+          .take();
+  const std::string sta_result =
+      obs::JsonWriter()
+          .begin_object()
+          .int_field("gates", static_cast<long long>(nl.size()))
+          .int_field("constants", fresh.stats().constants_found)
+          .int_field("unobservable", fresh.stats().unobservable_gates)
+          .int_field("untestable",
+                     static_cast<long long>(
+                         fresh.untestable_faults(col.representatives).size()))
+          .int_field("faults",
+                     static_cast<long long>(col.representatives.size()))
+          .end_object()
+          .take();
+  ServerOptions opt;
+  opt.workers = 2;
+  Server server(opt);
+  Collector warm, out;
+  // Caches rand2k without building its analyzer.
+  server.submit_line(request("m", "measure", "rand2k"), warm.fn());
+  server.wait_idle();
+  const std::uint64_t built0 = counter_value("jobs.sta_analyzer.built");
+  const std::uint64_t reused0 = counter_value("jobs.sta_analyzer.reused");
+  server.submit_line(request("l", "lint", "rand2k"), out.fn());
+  server.submit_line(request("s", "sta", "rand2k"), out.fn());
+  server.wait_idle();
+  EXPECT_EQ(counter_value("jobs.sta_analyzer.built") - built0, 1u);
+  EXPECT_EQ(counter_value("jobs.sta_analyzer.reused") - reused0, 1u);
+  const auto lines = out.lines();
+  ASSERT_EQ(lines.size(), 2u);
+  for (const std::string& line : lines) {
+    const std::string& want = str(parse(line), "op") == "lint" ? lint_result
+                                                               : sta_result;
+    EXPECT_NE(line.find("\"result\":" + want), std::string::npos)
+        << line << "\nwant result " << want;
+  }
   expect_accounted(server);
 }
 

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <future>
+#include <map>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -1103,9 +1104,9 @@ TEST(AutoLane, RecordsTheMergedCoverageAndTheTailFaults) {
 }
 
 #if defined(__linux__)
-// A run of at most 64 patterns never leaves the 64-bit engine, so it
-// starts only that engine's threads - 1 pool threads; the first run that
-// needs the wide lane builds its engine.
+// A run of at most 64 patterns never leaves the 64-bit machines; the first
+// run that needs the wide lane builds its machines. Both lanes share the
+// engine's one pool of threads - 1 OS threads.
 TEST(AutoLane, BuildsTheWideEngineOnFirstUse) {
   const Netlist nl = make_sn74181();
   const auto faults = collapse_faults(nl).representatives;
@@ -1121,13 +1122,13 @@ TEST(AutoLane, BuildsTheWideEngineOnFirstUse) {
   (void)eng->run(head, faults, /*drop_detected=*/false);
   EXPECT_EQ(task_count() - base, kThreads - 1);
   (void)eng->run(pats, faults, /*drop_detected=*/false);
-  EXPECT_EQ(task_count() - base, 2 * (kThreads - 1));
+  EXPECT_EQ(task_count() - base, kThreads - 1);
 }
 #endif
 
 // The PPSFP engines read only their compiled snapshot: engines built from a
 // netlist that is then destroyed still run -- the auto engine builds its
-// wide tail engine after the netlist is gone -- and answer as the 64-bit
+// wide machines after the netlist is gone -- and answer as the 64-bit
 // engine over a live copy does.
 TEST(AutoLane, RunsAfterTheNetlistIsDestroyed) {
   const Netlist live = make_sn74181();
@@ -1149,6 +1150,115 @@ TEST(AutoLane, RunsAfterTheNetlistIsDestroyed) {
         const FaultSimResult got = eng->run(pats, faults, drop);
         EXPECT_EQ(got.first_detected_by, want.first_detected_by);
         EXPECT_EQ(got.num_detected, want.num_detected);
+      }
+    }
+  }
+}
+
+// The work counters of the auto engine's runs, by name: the PPSFP block
+// counts, the propagation counts, every frontier-death bucket and the
+// regions stolen, summed over the workers.
+std::map<std::string, std::uint64_t> auto_work_counts() {
+  obs::Registry& reg = obs::Registry::global();
+  std::map<std::string, std::uint64_t> counts;
+  for (const char* name :
+       {"fault_sim.ppsfp.faults_simulated", "fault_sim.ppsfp.stems_propagated",
+        "fault_sim.ppsfp.pattern_blocks", "fault_sim.event.gates_evaluated",
+        "fault_sim.event.events_scheduled", "fault_sim.event.trace_evals"}) {
+    counts[name] = reg.counter(name).value();
+  }
+  for (int d = 0; d < 16; ++d) {
+    char name[48];
+    std::snprintf(name, sizeof(name), "fault_sim.event.death_depth.%02d%s", d,
+                  d == 15 ? "_plus" : "");
+    counts[name] = reg.counter(name).value();
+  }
+  std::uint64_t regions = 0;
+  for (int w = 0; w < 8; ++w) {
+    regions += reg.counter("fault_sim.threaded.worker." + std::to_string(w) +
+                           ".regions")
+                   .value();
+  }
+  counts["regions"] = regions;
+  return counts;
+}
+
+std::map<std::string, std::uint64_t> operator-(
+    std::map<std::string, std::uint64_t> a,
+    const std::map<std::string, std::uint64_t>& b) {
+  for (auto& [name, n] : a) n -= b.at(name);
+  return a;
+}
+
+// One auto run does the work of two pinned runs: a 64-bit engine on the
+// first 64 patterns, then a widest-lane engine on the faults it left and
+// the remaining patterns.
+TEST(AutoLane, WorkCountsEqualHeadPlusTail) {
+  obs::set_enabled(true);
+  simd::Lane wide;
+  {
+    const ScopedSimd env("auto");
+    wide = simd::resolve_lane();
+  }
+  ASSERT_GT(simd::lane_bits(wide), 64);
+  for (const char* circuit : {"rand2k", "sn74181"}) {
+    SCOPED_TRACE(circuit);
+    const Netlist nl = serve::builtin_circuit(circuit);
+    const auto faults = collapse_faults(nl).representatives;
+    const auto pats = patterns_for(nl, 700, 27);
+    const std::vector<SourceVector> head(pats.begin(), pats.begin() + 64);
+    const std::vector<SourceVector> tail(pats.begin() + 64, pats.end());
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      const auto eng = make_auto_engine(nl, threads);
+      auto before = auto_work_counts();
+      const FaultSimResult got = eng->run(pats, faults);
+      const auto auto_counts = auto_work_counts() - before;
+
+      before = auto_work_counts();
+      const FaultSimResult h =
+          make_fault_sim_engine(nl, threads, FaultSimKernel::Event,
+                                simd::Lane::Off)
+              ->run(head, faults);
+      std::vector<Fault> survivors;
+      for (std::size_t i = 0; i < faults.size(); ++i) {
+        if (h.first_detected_by[i] < 0) survivors.push_back(faults[i]);
+      }
+      if (!survivors.empty()) {
+        (void)make_fault_sim_engine(nl, threads, FaultSimKernel::Event, wide)
+            ->run(tail, survivors);
+      }
+      const auto pinned_counts = auto_work_counts() - before;
+      EXPECT_EQ(auto_counts, pinned_counts);
+      EXPECT_GT(auto_counts.at("fault_sim.ppsfp.pattern_blocks"), 1u);
+      EXPECT_GT(got.num_detected, h.num_detected);
+    }
+  }
+}
+
+// fault_sim.threaded.block takes one sample per block, from loading the
+// good machine through the barrier, so a report can read each worker's
+// idle time as the block total minus its task total.
+TEST(ThreadedFaultSim, BlockTimerSamplesEveryBlock) {
+  obs::set_enabled(true);
+  obs::Registry& reg = obs::Registry::global();
+  const obs::Histogram& timer = reg.timer("fault_sim.threaded.block");
+  const obs::Counter& blocks = reg.counter("fault_sim.ppsfp.pattern_blocks");
+  const Netlist nl = make_sn74181();
+  const auto faults = collapse_faults(nl).representatives;
+  const auto pats = patterns_for(nl, 700, 3);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    std::vector<std::unique_ptr<FaultSimEngine>> engines;
+    engines.push_back(make_auto_engine(nl, threads));
+    engines.push_back(std::make_unique<ParallelFaultSimulator>(nl, threads));
+    for (const auto& eng : engines) {
+      for (bool drop : {true, false}) {
+        const std::uint64_t samples0 = timer.count();
+        const std::uint64_t blocks0 = blocks.value();
+        (void)eng->run(pats, faults, drop);
+        EXPECT_GT(blocks.value(), blocks0);
+        EXPECT_EQ(timer.count() - samples0, blocks.value() - blocks0);
       }
     }
   }
