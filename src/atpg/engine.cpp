@@ -5,6 +5,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -45,17 +46,40 @@ void validate_atpg_options(const AtpgOptions& o) {
     reject("threads=" + std::to_string(o.threads) +
            " (must be >= 0; 0 = hardware concurrency)");
   }
-  if (o.retry_rounds < 0) {
-    reject("retry_rounds=" + std::to_string(o.retry_rounds) +
-           " (must be >= 0)");
-  }
-  if (o.retry_backtrack_multiplier < 1) {
-    reject("retry_backtrack_multiplier=" +
-           std::to_string(o.retry_backtrack_multiplier) + " (must be >= 1)");
-  }
   if (!bad.empty()) {
     throw std::invalid_argument("invalid AtpgOptions: " + bad);
   }
+}
+
+// The retry ladder: PODEM rounds, each at kRetryMultiplier times the last
+// round's backtrack limit, then the D-algorithm at the final limit.
+constexpr int kRetryRounds = 2;
+constexpr long long kRetryMultiplier = 4;
+
+// The final test list: the random-phase (or resumed) tests first, then the
+// cubes in order, each random-filled from the run's one generator.
+std::vector<SourceVector> assemble_tests(std::vector<SourceVector> tests,
+                                         std::vector<SourceVector> cubes,
+                                         std::mt19937_64& rng) {
+  for (SourceVector& c : cubes) {
+    random_fill(c, rng);
+    tests.push_back(std::move(c));
+  }
+  return tests;
+}
+
+// The census of a test set: one fault simulation of `tests` against every
+// fault; hit[i] = 1 when some test detects fault i.
+std::vector<char> census(FaultSimEngine& fsim,
+                         const std::vector<SourceVector>& tests,
+                         const std::vector<Fault>& faults) {
+  std::vector<char> hit(faults.size(), 0);
+  if (tests.empty()) return hit;
+  const FaultSimResult s = fsim.run(tests, faults);
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    hit[i] = s.first_detected_by[i] >= 0 ? 1 : 0;
+  }
+  return hit;
 }
 
 // Shared engine core behind run_atpg and resume_atpg. A fresh run passes
@@ -170,93 +194,113 @@ AtpgRun run_atpg_impl(const Netlist& nl, const std::vector<Fault>& faults,
                             resolve_thread_count(options.threads),
                             simd::Lane::Off);
   std::vector<SourceVector> cubes;
+  // Faults marked detected so far: the random phase's (or the resumed
+  // partial's) plus every search step's test and cross-drops.
+  int num_detected = run.random_phase_detected;
+
+  // One search step on open fault fi, shared by the deterministic pass and
+  // every retry pass: adds up the search counts and closes a proven-
+  // redundant fault; on a test, records the cube, random-fills it,
+  // cross-drops it against every other open fault, polls the budget and
+  // emits one progress event. The caller classifies an aborted fault and
+  // decides what a budget cut (run_status != Completed) means for fi.
+  auto attempt = [&](std::size_t fi, auto&& generate, std::string_view phase,
+                     std::uint64_t items_done,
+                     std::uint64_t items_total) -> AtpgOutcome {
+    AtpgOutcome out = generate(faults[fi]);
+    run.total_backtracks += out.backtracks;
+    run.total_decisions += out.decisions;
+    run.total_implications += out.implications;
+    if (out.run_status != guard::RunStatus::Completed) {
+      // The budget cut the search short: the fault was NOT proven hard.
+      istatus = out.run_status;
+      return out;
+    }
+    if (out.status == AtpgStatus::Redundant) {
+      redundant_idx.push_back(fi);
+      closed[fi] = 1;
+    }
+    if (out.status != AtpgStatus::TestFound) return out;
+    detected[fi] = 1;
+    ++num_detected;
+    cubes.push_back(out.pattern);
+
+    SourceVector filled = out.pattern;
+    random_fill(filled, rng);
+    std::vector<Fault> rest;
+    std::vector<std::size_t> rest_idx;
+    for (std::size_t fj = 0; fj < faults.size(); ++fj) {
+      if (!detected[fj] && !closed[fj]) {
+        rest.push_back(faults[fj]);
+        rest_idx.push_back(fj);
+      }
+    }
+    if (!rest.empty()) {
+      const FaultSimResult s = fsim->run({filled}, rest, true, bptr);
+      for (std::size_t k = 0; k < rest.size(); ++k) {
+        if (s.first_detected_by[k] >= 0) {
+          detected[rest_idx[k]] = 1;
+          ++num_detected;
+        }
+      }
+      if (s.status != guard::RunStatus::Completed) istatus = s.status;
+    }
+    // Between-fault poll: PODEM only polls every 32 implications, so a
+    // run of easy faults would otherwise never notice the deadline.
+    if (guarded && istatus == guard::RunStatus::Completed) {
+      const guard::RunStatus st = options.budget.poll();
+      if (st != guard::RunStatus::Completed) istatus = st;
+    }
+    if (obs::ProgressSink::global().active()) {
+      // Run-level progress: cumulative coverage across every phase
+      // (cross-drops included), so the curve a consumer plots from this
+      // phase continues the random one.
+      obs::Progress prog;
+      prog.phase = phase;
+      prog.coverage_pct =
+          faults.empty() ? 100.0
+                         : 100.0 * static_cast<double>(num_detected) /
+                               static_cast<double>(faults.size());
+      prog.patterns = random_tests.size() + cubes.size();
+      prog.decisions = static_cast<std::uint64_t>(run.total_decisions +
+                                                  run.total_backtracks);
+      prog.items_done = items_done;
+      prog.items_total = items_total;
+      prog.budget_remaining_ms = options.budget.remaining_ms();
+      obs::ProgressSink::global().maybe_emit(prog);
+    }
+    return out;
+  };
+
+  const auto podem_generate = [&](const Fault& f) {
+    return podem.generate(f);
+  };
   {
+    // In fault order every fault below fi is already detected or closed,
+    // so the step's cross-drop reaches exactly the open faults after fi.
     obs::Phase deterministic_phase("atpg.deterministic");
     for (std::size_t fi = 0;
          fi < faults.size() && options.deterministic_phase; ++fi) {
       if (detected[fi] || closed[fi]) continue;
       if (istatus != guard::RunStatus::Completed) break;
-      const AtpgOutcome out = podem.generate(faults[fi]);
-      run.total_backtracks += out.backtracks;
-      run.total_decisions += out.decisions;
-      run.total_implications += out.implications;
-      if (out.run_status != guard::RunStatus::Completed) {
-        // The budget cut the search short: the fault was NOT proven hard,
-        // so it stays open (-> remaining) rather than becoming aborted.
-        istatus = out.run_status;
-        break;
-      }
-      switch (out.status) {
-        case AtpgStatus::Redundant:
-          redundant_idx.push_back(fi);
-          closed[fi] = 1;
-          continue;
-        case AtpgStatus::Aborted:
-          aborted_pool.push_back(fi);
-          closed[fi] = 1;
-          continue;
-        case AtpgStatus::TestFound:
-          break;
-      }
-      detected[fi] = 1;
-      ++run.deterministic_detected;
-      cubes.push_back(out.pattern);
-
-      SourceVector filled = out.pattern;
-      random_fill(filled, rng);
-      std::vector<Fault> rest;
-      std::vector<std::size_t> rest_idx;
-      for (std::size_t fj = fi + 1; fj < faults.size(); ++fj) {
-        if (!detected[fj] && !closed[fj]) {
-          rest.push_back(faults[fj]);
-          rest_idx.push_back(fj);
-        }
-      }
-      if (!rest.empty()) {
-        const FaultSimResult s = fsim->run({filled}, rest, true, bptr);
-        for (std::size_t k = 0; k < rest.size(); ++k) {
-          if (s.first_detected_by[k] >= 0) {
-            detected[rest_idx[k]] = 1;
-            ++run.deterministic_detected;
-          }
-        }
-        if (s.status != guard::RunStatus::Completed) istatus = s.status;
-      }
-      // Between-fault poll: PODEM only polls every 32 implications, so a
-      // run of easy faults would otherwise never notice the deadline.
-      if (guarded && istatus == guard::RunStatus::Completed) {
-        const guard::RunStatus st = options.budget.poll();
-        if (st != guard::RunStatus::Completed) istatus = st;
-      }
-      if (obs::ProgressSink::global().active()) {
-        // Run-level progress: cumulative coverage across the random and
-        // deterministic phases (cross-drops included), so the curve a
-        // consumer plots from this phase continues the random one.
-        obs::Progress prog;
-        prog.phase = "atpg.deterministic";
-        prog.coverage_pct =
-            faults.empty()
-                ? 100.0
-                : 100.0 *
-                      static_cast<double>(run.random_phase_detected +
-                                          run.deterministic_detected) /
-                      static_cast<double>(faults.size());
-        prog.patterns = random_tests.size() + cubes.size();
-        prog.decisions =
-            static_cast<std::uint64_t>(run.total_decisions +
-                                       run.total_backtracks);
-        prog.items_done = fi + 1;
-        prog.items_total = faults.size();
-        prog.budget_remaining_ms = options.budget.remaining_ms();
-        obs::ProgressSink::global().maybe_emit(prog);
+      const AtpgOutcome out =
+          attempt(fi, podem_generate, "atpg.deterministic", fi + 1,
+                  faults.size());
+      // A budget cut leaves fi open (-> remaining), not aborted.
+      if (out.run_status != guard::RunStatus::Completed) break;
+      if (out.status == AtpgStatus::Aborted) {
+        aborted_pool.push_back(fi);
+        closed[fi] = 1;
       }
     }
   }
+  run.deterministic_detected = num_detected - run.random_phase_detected;
 
-  // Phase 2b: retry ladder for aborted faults -- escalating backtrack
-  // limits, then the D-algorithm as an independent prover. An abort is a
-  // budget decision, not a property of the fault; before classifying, spend
-  // a bigger budget and a structurally different search on it.
+  // Phase 2b: retry ladder for aborted faults -- kRetryRounds rounds of
+  // PODEM at a backtrack limit kRetryMultiplier times the last, then the
+  // D-algorithm as an independent prover. An abort is a budget decision,
+  // not a property of the fault; before classifying, spend a bigger budget
+  // and a structurally different search on it.
   if (options.retry_aborted && options.deterministic_phase &&
       !aborted_pool.empty() && istatus == guard::RunStatus::Completed) {
     obs::Phase retry_phase("atpg.retry");
@@ -264,6 +308,8 @@ AtpgRun run_atpg_impl(const Netlist& nl, const std::vector<Fault>& faults,
     aborted_pool.clear();
     for (std::size_t i : pool) closed[i] = 0;  // open for cross-dropping
 
+    // One pass over the pool; returns the faults still unresolved (aborted
+    // again, or carried over once the budget is spent).
     auto retry_pass = [&](auto&& generate, std::vector<std::size_t> in) {
       std::vector<std::size_t> still;
       for (std::size_t fi : in) {
@@ -276,87 +322,28 @@ AtpgRun run_atpg_impl(const Netlist& nl, const std::vector<Fault>& faults,
           continue;
         }
         ++run.retry_attempts;
-        const AtpgOutcome out = generate(faults[fi]);
-        run.total_backtracks += out.backtracks;
-        run.total_decisions += out.decisions;
-        run.total_implications += out.implications;
-        if (out.run_status != guard::RunStatus::Completed) {
-          istatus = out.run_status;
+        const AtpgOutcome out =
+            attempt(fi, generate, "atpg.retry",
+                    static_cast<std::uint64_t>(run.retry_attempts), 0);
+        if (out.run_status != guard::RunStatus::Completed ||
+            out.status == AtpgStatus::Aborted) {
           still.push_back(fi);
-          continue;
-        }
-        if (out.status == AtpgStatus::Redundant) {
-          redundant_idx.push_back(fi);
-          closed[fi] = 1;
+        } else {
           ++run.retry_rescued;
-          continue;
-        }
-        if (out.status == AtpgStatus::Aborted) {
-          still.push_back(fi);
-          continue;
-        }
-        detected[fi] = 1;
-        ++run.retry_rescued;
-        cubes.push_back(out.pattern);
-        SourceVector filled = out.pattern;
-        random_fill(filled, rng);
-        std::vector<Fault> rest;
-        std::vector<std::size_t> rest_idx;
-        for (std::size_t fj = 0; fj < faults.size(); ++fj) {
-          if (!detected[fj] && !closed[fj] && fj != fi) {
-            rest.push_back(faults[fj]);
-            rest_idx.push_back(fj);
-          }
-        }
-        if (!rest.empty()) {
-          const FaultSimResult s = fsim->run({filled}, rest, true, bptr);
-          for (std::size_t k = 0; k < rest.size(); ++k) {
-            if (s.first_detected_by[k] >= 0) detected[rest_idx[k]] = 1;
-          }
-          if (s.status != guard::RunStatus::Completed) istatus = s.status;
-        }
-        if (guarded && istatus == guard::RunStatus::Completed) {
-          const guard::RunStatus st = options.budget.poll();
-          if (st != guard::RunStatus::Completed) istatus = st;
-        }
-        if (obs::ProgressSink::global().active()) {
-          // Retried faults are few and each retry is an expensive search,
-          // so an exact recount of the census per event is in the noise.
-          obs::Progress prog;
-          prog.phase = "atpg.retry";
-          prog.coverage_pct =
-              faults.empty()
-                  ? 100.0
-                  : 100.0 *
-                        static_cast<double>(std::count(
-                            detected.begin(), detected.end(),
-                            static_cast<char>(1))) /
-                        static_cast<double>(faults.size());
-          prog.decisions =
-              static_cast<std::uint64_t>(run.total_decisions +
-                                         run.total_backtracks);
-          prog.items_done = static_cast<std::uint64_t>(run.retry_attempts);
-          prog.budget_remaining_ms = options.budget.remaining_ms();
-          obs::ProgressSink::global().maybe_emit(prog);
         }
       }
       return still;
     };
 
     long long limit = options.backtrack_limit;
-    for (int round = 0; round < options.retry_rounds && !pool.empty() &&
+    for (int round = 0; round < kRetryRounds && !pool.empty() &&
                         istatus == guard::RunStatus::Completed;
          ++round) {
-      limit = std::min<long long>(
-          limit * options.retry_backtrack_multiplier, 1000000000LL);
-      Podem retry_podem(nl, static_cast<int>(limit));
-      if (guarded) retry_podem.set_budget(&options.budget);
-      pool = retry_pass(
-          [&](const Fault& f) { return retry_podem.generate(f); },
-          std::move(pool));
+      limit = std::min<long long>(limit * kRetryMultiplier, 1000000000LL);
+      podem.set_backtrack_limit(static_cast<int>(limit));
+      pool = retry_pass(podem_generate, std::move(pool));
     }
-    if (!pool.empty() && options.retry_dalg_fallback &&
-        istatus == guard::RunStatus::Completed) {
+    if (!pool.empty() && istatus == guard::RunStatus::Completed) {
       try {
         DAlgorithm dalg(nl, static_cast<int>(limit));
         if (guarded) dalg.set_budget(&options.budget);
@@ -393,18 +380,8 @@ AtpgRun run_atpg_impl(const Netlist& nl, const std::vector<Fault>& faults,
     // cubes are filled anew here, a later test can detect a fault that
     // aborted earlier, and a cross-drop cut short by the budget never
     // simulated some faults.
-    run.tests = std::move(random_tests);
-    for (auto& c : cubes) {
-      random_fill(c, rng);
-      run.tests.push_back(std::move(c));
-    }
-    std::vector<char> hit(faults.size(), 0);
-    if (!run.tests.empty()) {
-      const FaultSimResult s = fsim->run(run.tests, faults);
-      for (std::size_t i = 0; i < faults.size(); ++i) {
-        hit[i] = s.first_detected_by[i] >= 0 ? 1 : 0;
-      }
-    }
+    run.tests = assemble_tests(std::move(random_tests), std::move(cubes), rng);
+    const std::vector<char> hit = census(*fsim, run.tests, faults);
     run.aborted.clear();
     for (std::size_t i : aborted_pool) {
       if (!hit[i]) run.aborted.push_back(faults[i]);
@@ -420,11 +397,8 @@ AtpgRun run_atpg_impl(const Netlist& nl, const std::vector<Fault>& faults,
     {
       obs::Phase compact_phase("atpg.compact");
       if (options.compact) cubes = merge_compatible(std::move(cubes));
-      run.tests = std::move(random_tests);
-      for (auto& c : cubes) {
-        random_fill(c, rng);
-        run.tests.push_back(std::move(c));
-      }
+      run.tests =
+          assemble_tests(std::move(random_tests), std::move(cubes), rng);
       if (options.compact && !run.tests.empty()) {
         run.tests = drop_redundant_patterns(nl, faults, run.tests);
       }
@@ -483,15 +457,10 @@ AtpgRun resume_atpg(const Netlist& nl, const std::vector<Fault>& faults,
   // Rebuild the detected census: re-simulate the partial's tests against
   // the full fault list (cheap next to the search the partial already
   // paid for, and self-verifying -- no trust in the partial's flags).
-  std::vector<char> detected(faults.size(), 0);
-  if (!partial.tests.empty()) {
-    const auto fsim = make_fault_sim_engine(
-        nl, options.engine, resolve_thread_count(options.threads));
-    const FaultSimResult s = fsim->run(partial.tests, faults);
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      detected[i] = s.first_detected_by[i] >= 0 ? 1 : 0;
-    }
-  }
+  std::vector<char> detected = census(
+      *make_fault_sim_engine(nl, options.engine,
+                             resolve_thread_count(options.threads)),
+      partial.tests, faults);
 
   // Carry classifications over, matched by fault identity -- the caller's
   // fault list need not be in the original order.

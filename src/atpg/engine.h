@@ -48,15 +48,12 @@ struct AtpgOptions {
   // retries). Default-constructed = unlimited: no polling, results
   // bit-identical to an unguarded run.
   guard::Budget budget;
-  // Graceful degradation for aborted faults: retry with an escalating
-  // backtrack limit (limit *= retry_backtrack_multiplier per round, up to
-  // retry_rounds rounds), then hand survivors to the D-algorithm as an
-  // independent prover (skipped automatically on circuits it rejects).
-  // Faults still unresolved are classified aborted, exactly as before.
+  // Graceful degradation for aborted faults: a fixed ladder of two more
+  // PODEM rounds, each at four times the last backtrack limit (x4, then
+  // x16), then the D-algorithm at the final limit as an independent prover
+  // (skipped automatically on circuits it rejects). Faults still
+  // unresolved are classified aborted, exactly as before.
   bool retry_aborted = false;
-  int retry_rounds = 2;
-  int retry_backtrack_multiplier = 4;
-  bool retry_dalg_fallback = true;
 };
 
 struct AtpgRun {

@@ -6,40 +6,6 @@
 
 namespace dft {
 
-namespace {
-
-// Inlines `sub` into `nl`, mapping its sources (PIs then FFs) to `sources`.
-// Returns the nets of sub's POs followed by its FF next-state nets.
-std::vector<GateId> inline_machine(Netlist& nl, const Netlist& sub,
-                                   const std::vector<GateId>& sources,
-                                   const std::string& prefix) {
-  std::vector<GateId> map(sub.size(), kNoGate);
-  const auto& pis = sub.inputs();
-  const auto& ffs = sub.storage();
-  for (std::size_t i = 0; i < pis.size(); ++i) map[pis[i]] = sources[i];
-  for (std::size_t i = 0; i < ffs.size(); ++i) {
-    map[ffs[i]] = sources[pis.size() + i];
-  }
-  for (GateId g = 0; g < sub.size(); ++g) {
-    const GateType t = sub.type(g);
-    if (t == GateType::Const0 || t == GateType::Const1) {
-      map[g] = nl.add_gate(t, {}, prefix + sub.label(g));
-    }
-  }
-  for (GateId g : sub.topo_order()) {
-    if (sub.type(g) == GateType::Output) continue;
-    std::vector<GateId> fin;
-    for (GateId x : sub.fanin(g)) fin.push_back(map[x]);
-    map[g] = nl.add_gate(sub.type(g), std::move(fin), prefix + sub.label(g));
-  }
-  std::vector<GateId> outs;
-  for (GateId po : sub.outputs()) outs.push_back(map[sub.fanin(po)[0]]);
-  for (GateId ff : ffs) outs.push_back(map[sub.fanin(ff)[kStoragePinD]]);
-  return outs;
-}
-
-}  // namespace
-
 Netlist build_miter(const Netlist& a, const Netlist& b) {
   if (a.inputs().size() != b.inputs().size() ||
       a.outputs().size() != b.outputs().size() ||
@@ -54,8 +20,8 @@ Netlist build_miter(const Netlist& a, const Netlist& b) {
   for (std::size_t i = 0; i < a.storage().size(); ++i) {
     sources.push_back(m.add_input("state" + std::to_string(i)));
   }
-  const auto oa = inline_machine(m, a, sources, "a_");
-  const auto ob = inline_machine(m, b, sources, "b_");
+  const auto oa = inline_netlist(m, a, sources, "a_");
+  const auto ob = inline_netlist(m, b, sources, "b_");
   std::vector<GateId> diffs;
   for (std::size_t i = 0; i < oa.size(); ++i) {
     diffs.push_back(

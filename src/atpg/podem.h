@@ -69,6 +69,10 @@ class Podem {
   // generate(); the pointee must outlive the Podem (or be reset to null).
   void set_budget(const guard::Budget* budget) { budget_ = budget; }
 
+  // Backtracks a search may spend before it gives up (Aborted); takes
+  // effect from the next generate() call.
+  void set_backtrack_limit(int limit) { backtrack_limit_ = limit; }
+
   AtpgOutcome generate(const Fault& fault);
 
  private:

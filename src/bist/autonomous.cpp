@@ -142,27 +142,7 @@ MuxPartitioned build_mux_partitioned(const Netlist& g1, const Netlist& g2) {
   }
   out.test_select = nl.add_input("test_g2");
 
-  // Inline a combinational subnetwork, mapping its PIs to `drivers`.
-  auto inline_net = [&nl](const Netlist& sub, const std::vector<GateId>& drivers,
-                          const std::string& prefix) {
-    std::vector<GateId> map(sub.size(), kNoGate);
-    for (std::size_t i = 0; i < sub.inputs().size(); ++i) {
-      map[sub.inputs()[i]] = drivers[i];
-    }
-    for (GateId g : sub.topo_order()) {
-      if (sub.type(g) == GateType::Output) continue;
-      std::vector<GateId> fin;
-      for (GateId f : sub.fanin(g)) fin.push_back(map[f]);
-      map[g] = nl.add_gate(sub.type(g), std::move(fin),
-                           prefix + "_" + sub.label(g));
-    }
-    std::vector<GateId> outs;
-    for (GateId po : sub.outputs()) outs.push_back(map[sub.fanin(po)[0]]);
-    return outs;
-  };
-
-  // Map constants first by re-running: simpler -- require const-free
-  // subnetworks for clarity.
+  // The demo keeps to const-free subnetworks.
   for (const Netlist* sub : {&g1, &g2}) {
     for (GateId g = 0; g < sub->size(); ++g) {
       if (sub->type(g) == GateType::Const0 || sub->type(g) == GateType::Const1) {
@@ -172,7 +152,7 @@ MuxPartitioned build_mux_partitioned(const Netlist& g1, const Netlist& g2) {
     }
   }
 
-  const auto g1_outs = inline_net(g1, out.primary_data_inputs, "g1");
+  const auto g1_outs = inline_netlist(nl, g1, out.primary_data_inputs, "g1_");
   // Observation POs for G1 (always visible; Fig. 32's test path).
   for (std::size_t i = 0; i < g1_outs.size(); ++i) {
     out.g1_observation_pos.push_back(
@@ -187,7 +167,7 @@ MuxPartitioned build_mux_partitioned(const Netlist& g1, const Netlist& g2) {
         "g2in" + std::to_string(i)));
     out.mux_gate_equivalents += gate_cost(GateType::Mux, 3);
   }
-  const auto g2_outs = inline_net(g2, g2_in, "g2");
+  const auto g2_outs = inline_netlist(nl, g2, g2_in, "g2_");
   for (std::size_t i = 0; i < g2_outs.size(); ++i) {
     nl.add_output(g2_outs[i], "y" + std::to_string(i));
   }

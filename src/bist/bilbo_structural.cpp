@@ -79,37 +79,12 @@ BilboLoop build_bilbo_loop(const Netlist& cln1, const Netlist& cln2) {
   std::vector<GateId> r1_z(n1, tie);
   loop.r1 = add_structural_bilbo(nl, r1_z, loop.scan_in, "r1");
 
-  // Inline a combinational network, driven by the given sources.
-  auto inline_net = [&nl](const Netlist& sub,
-                          const std::vector<GateId>& sources,
-                          const std::string& prefix) {
-    std::vector<GateId> map(sub.size(), kNoGate);
-    for (std::size_t i = 0; i < sub.inputs().size(); ++i) {
-      map[sub.inputs()[i]] = sources[i];
-    }
-    for (GateId g = 0; g < sub.size(); ++g) {
-      const GateType t = sub.type(g);
-      if (t == GateType::Const0 || t == GateType::Const1) {
-        map[g] = nl.add_gate(t, {}, prefix + sub.label(g));
-      }
-    }
-    for (GateId g : sub.topo_order()) {
-      if (sub.type(g) == GateType::Output) continue;
-      std::vector<GateId> fin;
-      for (GateId x : sub.fanin(g)) fin.push_back(map[x]);
-      map[g] = nl.add_gate(sub.type(g), std::move(fin), prefix + sub.label(g));
-    }
-    std::vector<GateId> outs;
-    for (GateId po : sub.outputs()) outs.push_back(map[sub.fanin(po)[0]]);
-    return outs;
-  };
-
   std::vector<GateId> r1_out(loop.r1.cells.begin(), loop.r1.cells.end());
-  const auto cln1_out = inline_net(cln1, r1_out, "c1_");
+  const auto cln1_out = inline_netlist(nl, cln1, r1_out, "c1_");
   loop.r2 = add_structural_bilbo(
       nl, cln1_out, loop.r1.cells.back(), "r2");  // chained scan path
   std::vector<GateId> r2_out(loop.r2.cells.begin(), loop.r2.cells.end());
-  const auto cln2_out = inline_net(cln2, r2_out, "c2_");
+  const auto cln2_out = inline_netlist(nl, cln2, r2_out, "c2_");
 
   // Close the loop: R1's Z inputs are CLN2's outputs. The Z-gating AND is
   // the gate named r1_m<i>_zg with pin 0 = placeholder.

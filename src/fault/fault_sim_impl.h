@@ -80,13 +80,17 @@ class BasicMachineSet final : public MachineSet {
   // them at every word width and thread count, so reports stay comparable;
   // propagation counters live under fault_sim.event.*, the lane under
   // fault_sim.lanes.* and the sim.word_bits gauge, and the schedule under
-  // fault_sim.threaded.*. Each worker's tallies are added once per run.
+  // fault_sim.threaded.*. The workers' tallies are summed first, so each
+  // shared counter is looked up once per run; only the per-worker .faults
+  // and .regions counters are looked up per worker.
   void end_run() override {
     good_.flush_tally();
     if (!obs::enabled()) return;
     obs::Registry& reg = obs::Registry::global();
     reg.counter("fault_sim.lanes." + std::string(EB::tag())).add(1);
     reg.gauge("sim.word_bits").set(Traits::kBits);
+    Tallies sum;
+    std::uint64_t events = 0;
     for (std::size_t w = 0; w < machines_.size(); ++w) {
       const Machine& m = machines_[w];
       const Tallies& t = m.tallies;
@@ -96,28 +100,35 @@ class BasicMachineSet final : public MachineSet {
         reg.counter(worker + ".faults").add(t.faults_simulated);
       }
       if (t.regions != 0) reg.counter(worker + ".regions").add(t.regions);
-      reg.counter("fault_sim.ppsfp.faults_simulated").add(t.faults_simulated);
-      reg.counter("fault_sim.ppsfp.stems_propagated").add(t.stems_propagated);
-      // The event counters and the frontier-death histogram count stem
-      // propagations: one per region whose live faults reach its stem in a
-      // block.
-      reg.counter("fault_sim.event.events_scheduled")
-          .add(m.ev.events_scheduled() - m.events_mark);
-      reg.counter("fault_sim.event.gates_evaluated").add(t.gates_evaluated);
-      reg.counter("fault_sim.event.trace_evals").add(t.trace_evals);
-      // Frontier-death histogram: bucket d = stem propagations whose
-      // difference frontier died d levels past the stem (d=0 also counts
-      // regions whose live faults never reached their stem in the block).
-      // Flushed as counters so the whole run's distribution lands in one
-      // report.
-      for (int d = 0; d < Tallies::kDeathDepthBuckets; ++d) {
-        const std::uint64_t n = t.death_depth[static_cast<std::size_t>(d)];
-        if (n == 0) continue;
-        char name[48];
-        std::snprintf(name, sizeof(name), "fault_sim.event.death_depth.%02d%s",
-                      d, d == Tallies::kDeathDepthBuckets - 1 ? "_plus" : "");
-        reg.counter(name).add(n);
+      sum.faults_simulated += t.faults_simulated;
+      sum.stems_propagated += t.stems_propagated;
+      sum.gates_evaluated += t.gates_evaluated;
+      sum.trace_evals += t.trace_evals;
+      for (std::size_t d = 0; d < sum.death_depth.size(); ++d) {
+        sum.death_depth[d] += t.death_depth[d];
       }
+      events += m.ev.events_scheduled() - m.events_mark;
+    }
+    reg.counter("fault_sim.ppsfp.faults_simulated").add(sum.faults_simulated);
+    reg.counter("fault_sim.ppsfp.stems_propagated").add(sum.stems_propagated);
+    // The event counters and the frontier-death histogram count stem
+    // propagations: one per region whose live faults reach its stem in a
+    // block.
+    reg.counter("fault_sim.event.events_scheduled").add(events);
+    reg.counter("fault_sim.event.gates_evaluated").add(sum.gates_evaluated);
+    reg.counter("fault_sim.event.trace_evals").add(sum.trace_evals);
+    // Frontier-death histogram: bucket d = stem propagations whose
+    // difference frontier died d levels past the stem (d=0 also counts
+    // regions whose live faults never reached their stem in the block).
+    // Flushed as counters so the whole run's distribution lands in one
+    // report.
+    for (int d = 0; d < Tallies::kDeathDepthBuckets; ++d) {
+      const std::uint64_t n = sum.death_depth[static_cast<std::size_t>(d)];
+      if (n == 0) continue;
+      char name[48];
+      std::snprintf(name, sizeof(name), "fault_sim.event.death_depth.%02d%s",
+                    d, d == Tallies::kDeathDepthBuckets - 1 ? "_plus" : "");
+      reg.counter(name).add(n);
     }
   }
 

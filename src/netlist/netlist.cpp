@@ -61,14 +61,6 @@ void Netlist::set_fanin(GateId gate, int pin, GateId driver) {
   invalidate_caches();
 }
 
-void Netlist::set_fanins(GateId gate, std::vector<GateId> fanin) {
-  check_gate(gate);
-  check_arity(types_.at(gate), fanin.size());
-  for (GateId f : fanin) check_gate(f);
-  fanins_.at(gate) = std::move(fanin);
-  invalidate_caches();
-}
-
 void Netlist::convert_storage(GateId gate, GateType new_type,
                               std::optional<GateId> scan_in) {
   check_gate(gate);
@@ -259,6 +251,34 @@ void Netlist::check_gate(GateId g) const {
     throw std::invalid_argument("gate id " + std::to_string(g) +
                                 " out of range");
   }
+}
+
+std::vector<GateId> inline_netlist(Netlist& into, const Netlist& sub,
+                                   const std::vector<GateId>& sources,
+                                   const std::string& prefix) {
+  std::vector<GateId> map(sub.size(), kNoGate);
+  const auto& pis = sub.inputs();
+  const auto& ffs = sub.storage();
+  for (std::size_t i = 0; i < pis.size(); ++i) map[pis[i]] = sources[i];
+  for (std::size_t i = 0; i < ffs.size(); ++i) {
+    map[ffs[i]] = sources[pis.size() + i];
+  }
+  for (GateId g = 0; g < sub.size(); ++g) {
+    const GateType t = sub.type(g);
+    if (t == GateType::Const0 || t == GateType::Const1) {
+      map[g] = into.add_gate(t, {}, prefix + sub.label(g));
+    }
+  }
+  for (GateId g : sub.topo_order()) {
+    if (sub.type(g) == GateType::Output) continue;
+    std::vector<GateId> fin;
+    for (GateId x : sub.fanin(g)) fin.push_back(map[x]);
+    map[g] = into.add_gate(sub.type(g), std::move(fin), prefix + sub.label(g));
+  }
+  std::vector<GateId> outs;
+  for (GateId po : sub.outputs()) outs.push_back(map[sub.fanin(po)[0]]);
+  for (GateId ff : ffs) outs.push_back(map[sub.fanin(ff)[kStoragePinD]]);
+  return outs;
 }
 
 }  // namespace dft

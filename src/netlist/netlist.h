@@ -43,9 +43,6 @@ class Netlist {
   // Rewires a single fanin pin. Invalidates cached fanout/levels.
   void set_fanin(GateId gate, int pin, GateId driver);
 
-  // Replaces the whole fanin list (arity-checked).
-  void set_fanins(GateId gate, std::vector<GateId> fanin);
-
   // Converts a storage element between storage types (e.g. Dff -> Srl during
   // scan insertion). `scan_in` must be supplied when converting a plain Dff
   // to a 2-pin scannable type that requires a scan-data fanin.
@@ -122,5 +119,15 @@ class Netlist {
   mutable std::vector<int> levels_;
   mutable int depth_ = 0;
 };
+
+// Copies `sub`'s logic into `into`, driven by `sources` (sub's primary
+// inputs, then its storage outputs, in order): each constant of sub, then
+// each combinational gate in sub's topological order, is added anew as
+// prefix + its label. Returns the nets that drive sub's primary outputs,
+// then its storage elements' D pins. Sub's own inputs, outputs and storage
+// are not copied.
+std::vector<GateId> inline_netlist(Netlist& into, const Netlist& sub,
+                                   const std::vector<GateId>& sources,
+                                   const std::string& prefix);
 
 }  // namespace dft

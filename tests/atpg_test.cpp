@@ -517,10 +517,8 @@ std::uint64_t podem_search_digest(const Netlist& nl, int backtrack_limit) {
   return h;
 }
 
-TEST(Podem, SearchMatchesPinnedDigests) {
-  // Implication is an optimisation, never a change of search: every
-  // decision, backtrack, implication count and cube must match the digests
-  // recorded from the full-netlist reference implementation.
+// The built-in corpus both pinned-digest tests run on, in pinned order.
+std::vector<std::pair<std::string, Netlist>> pinned_corpus() {
   std::vector<std::pair<std::string, Netlist>> corpus;
   corpus.emplace_back("c17", make_c17());
   corpus.emplace_back("adder4", make_ripple_adder(4));
@@ -546,6 +544,14 @@ TEST(Podem, SearchMatchesPinnedDigests) {
                         make_random_combinational(spec));
   }
   corpus.emplace_back("rand_bus", make_random_bus_circuit(5));
+  return corpus;
+}
+
+TEST(Podem, SearchMatchesPinnedDigests) {
+  // Implication is an optimisation, never a change of search: every
+  // decision, backtrack, implication count and cube must match the digests
+  // recorded from the full-netlist reference implementation.
+  const auto corpus = pinned_corpus();
 
   struct Pinned {
     const char* name;
@@ -581,6 +587,136 @@ TEST(Podem, SearchMatchesPinnedDigests) {
                                          << d100;
     EXPECT_EQ(d20000, kPinned[i].limit20000)
         << name << " @20000: 0x" << std::hex << d20000;
+  }
+}
+
+void mix_faults(std::uint64_t& h, const std::vector<Fault>& faults) {
+  h = fnv1a_mix(h, faults.size());
+  for (const Fault& f : faults) {
+    h = fnv1a_mix(h, f.gate);
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(f.pin + 1));
+    h = fnv1a_mix(h, f.sa1 ? 1 : 0);
+  }
+}
+
+// One digest of a whole AtpgRun: the tests, every fault classification,
+// the status and every count (elapsed_ms aside, which is wall time).
+std::uint64_t atpg_run_digest(const AtpgRun& run) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  h = fnv1a_mix(h, run.tests.size());
+  for (const SourceVector& t : run.tests) {
+    for (Logic v : t) h = fnv1a_mix(h, static_cast<std::uint64_t>(v));
+  }
+  mix_faults(h, run.redundant);
+  mix_faults(h, run.aborted);
+  mix_faults(h, run.remaining);
+  for (long long v :
+       {static_cast<long long>(run.status),
+        static_cast<long long>(run.retry_attempts),
+        static_cast<long long>(run.retry_rescued),
+        static_cast<long long>(run.statically_pruned),
+        static_cast<long long>(run.num_faults),
+        static_cast<long long>(run.detected),
+        static_cast<long long>(run.random_phase_detected),
+        static_cast<long long>(run.deterministic_detected),
+        run.total_backtracks, static_cast<long long>(run.backtrack_limit),
+        run.total_decisions, run.total_implications}) {
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(v));
+  }
+  return h;
+}
+
+TEST(AtpgPinned, EveryRunMatchesRecordedDigest) {
+  // The whole ATPG flow -- random phase, deterministic search with
+  // cross-dropping, retry ladder, compaction, partial finalize and resume
+  // -- must reproduce the runs recorded before its driver was restructured.
+  std::vector<std::pair<std::string, std::uint64_t>> digests;
+  for (const auto& [name, nl] : pinned_corpus()) {
+    const auto faults = collapse_faults(nl).representatives;
+    for (int limit : {100, 20000}) {
+      AtpgOptions opt;
+      opt.backtrack_limit = limit;
+      digests.emplace_back(name + "@" + std::to_string(limit),
+                           atpg_run_digest(run_atpg(nl, faults, opt)));
+    }
+  }
+
+  const Netlist alu = make_sn74181();
+  const auto alu_faults = collapse_faults(alu).representatives;
+  AtpgOptions retry;
+  retry.backtrack_limit = 1;
+  retry.retry_aborted = true;
+  const AtpgRun retried = run_atpg(alu, alu_faults, retry);
+  EXPECT_GT(retried.retry_attempts, 0);
+  digests.emplace_back("sn74181@1+retry", atpg_run_digest(retried));
+
+  // A pattern ceiling just past a short random phase: the budget runs out
+  // on a deterministic cross-drop, and the resume finishes the run.
+  RandomCircuitSpec spec;
+  spec.num_inputs = 16;
+  spec.num_outputs = 8;
+  spec.num_gates = 200;
+  spec.seed = 21;
+  const Netlist rnd = make_random_combinational(spec);
+  const auto rnd_faults = collapse_faults(rnd).representatives;
+  AtpgOptions cut;
+  cut.random_patterns = 64;
+  cut.budget.set_pattern_limit(80);
+  const AtpgRun partial = run_atpg(rnd, rnd_faults, cut);
+  EXPECT_TRUE(guard::interrupted(partial.status));
+  EXPECT_GT(partial.deterministic_detected, 0);
+  EXPECT_FALSE(partial.remaining.empty());
+  digests.emplace_back("rand200_21 partial", atpg_run_digest(partial));
+  AtpgOptions rest;
+  rest.random_patterns = 64;
+  digests.emplace_back("rand200_21 resumed",
+                       atpg_run_digest(resume_atpg(rnd, rnd_faults, partial,
+                                                   rest)));
+
+  const std::pair<const char*, std::uint64_t> kPinned[] = {
+      {"c17@100", 0x95592a30c5c30692},
+      {"c17@20000", 0xff1c6b005b146124},
+      {"adder4@100", 0x1a988fb0b5b9b28f},
+      {"adder4@20000", 0xb56bd6dedfd4ce05},
+      {"adder8@100", 0xf941e7c76f29a14e},
+      {"adder8@20000", 0xab6ccb531bc80050},
+      {"mult3@100", 0x62c33ca7f344696e},
+      {"mult3@20000", 0x7d6db8c1f3cce724},
+      {"dec3@100", 0xf281f6dc7d513a6f},
+      {"dec3@20000", 0x8d553e0aa76c55e5},
+      {"parity8@100", 0x21378eef9a91f61a},
+      {"parity8@20000", 0xfab3612c37a236fc},
+      {"mux3@100", 0x77ce2667f9247ec1},
+      {"mux3@20000", 0x8926415b1a1432cb},
+      {"cmp4@100", 0x1719c7f1b1c9d476},
+      {"cmp4@20000", 0x598c1a1056a94d28},
+      {"sn74181@100", 0xad036facafbc9cb2},
+      {"sn74181@20000", 0x779c8344022dd6f8},
+      {"counter8@100", 0xfc88e2bbde224468},
+      {"counter8@20000", 0x823a47e6b563588e},
+      {"accum4@100", 0x8d4aaa5b0eba7b74},
+      {"accum4@20000", 0x281df18938d596ea},
+      {"counter8+scan@100", 0x392ab282f82541cf},
+      {"counter8+scan@20000", 0xa59722f8152cc045},
+      {"rand200_21@100", 0x8ffd19b762f07d7d},
+      {"rand200_21@20000", 0x45e15f74e4272e6e},
+      {"rand200_22@100", 0x3cc69268613c1ddb},
+      {"rand200_22@20000", 0x314d79aade697676},
+      {"rand200_23@100", 0x8645e3f541c7062d},
+      {"rand200_23@20000", 0x604f314a3f1027ab},
+      {"rand200_24@100", 0xc1b53801a65f6c24},
+      {"rand200_24@20000", 0x0512f30b2678a37e},
+      {"rand_bus@100", 0xb08a92c84450caf8},
+      {"rand_bus@20000", 0xdd47ed65b593cd0e},
+      {"sn74181@1+retry", 0xcd500e997f82253f},
+      {"rand200_21 partial", 0xab62c8ca385fcf51},
+      {"rand200_21 resumed", 0x6ab2129b5c4ab78a},
+  };
+  ASSERT_EQ(std::size(kPinned), digests.size());
+  for (std::size_t i = 0; i < digests.size(); ++i) {
+    EXPECT_EQ(digests[i].first, kPinned[i].first);
+    EXPECT_EQ(digests[i].second, kPinned[i].second)
+        << digests[i].first << ": 0x" << std::hex << digests[i].second;
   }
 }
 

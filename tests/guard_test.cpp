@@ -215,7 +215,6 @@ TEST(GuardAtpg, OptionsValidatedWithOneAggregateError) {
   AtpgOptions opt;
   opt.random_patterns = -5;
   opt.backtrack_limit = -1;
-  opt.retry_rounds = -2;
   try {
     run_atpg(nl, faults, opt);
     FAIL() << "invalid options must throw";
@@ -224,7 +223,6 @@ TEST(GuardAtpg, OptionsValidatedWithOneAggregateError) {
     // One message names every bad knob, not just the first.
     EXPECT_NE(msg.find("random_patterns"), std::string::npos) << msg;
     EXPECT_NE(msg.find("backtrack_limit"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("retry_rounds"), std::string::npos) << msg;
   }
 }
 
@@ -352,8 +350,6 @@ TEST(GuardAtpg, RetryLadderRescuesAbortedFaults) {
 
   AtpgOptions retry = starve;
   retry.retry_aborted = true;
-  retry.retry_rounds = 2;
-  retry.retry_backtrack_multiplier = 8;
   const AtpgRun run = run_atpg(nl, faults, retry);
   EXPECT_GE(run.retry_attempts, 1);
   EXPECT_GE(run.retry_rescued, 1);
